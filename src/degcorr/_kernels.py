@@ -1,14 +1,22 @@
-"""Pure-Python inversion counting, used when the compiled kernel is absent.
+"""Strict inversion counting for Kendall's tau on high-cardinality series.
 
-Semantics match the extension: pairs i < j with values[i] > values[j],
-ties never counted. Bottom-up merge over plain lists; roughly two orders
-of magnitude slower than the compiled version (see benchmarks/).
+`measures.concordance_counts` reads degree series off the joint degree
+table and never comes here; this merge count serves `PairSeries` whose
+joint table would be too large. `BACKEND` names the implementation.
 """
 from __future__ import annotations
 
+import numpy as np
+
+BACKEND = "python"
+
 
 def count_strict_inversions(values) -> int:
-    a = list(values)
+    """Number of pairs i < j with values[i] > values[j] (ties excluded).
+
+    Bottom-up merge over plain Python lists of ints.
+    """
+    a = np.asarray(values, dtype=np.int64).tolist()
     n = len(a)
     b = [0] * n
     total = 0

@@ -2,7 +2,7 @@
 
 Every command is a pure function of (input bytes, flags, seed); repeated
 runs produce byte-identical output. Exit codes: 0 success, 2 input error,
-3 internal invariant violation.
+3 internal error (any other exception; a one-line message, no traceback).
 """
 from __future__ import annotations
 
@@ -160,8 +160,6 @@ def cmd_study(args) -> int:
 
         def sample(n, ss):
             out_rng, in_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-            from .generators import sample_integer_power_law
-
             return np.column_stack(
                 [
                     sample_integer_power_law(spec_out, out_rng, n),
@@ -179,8 +177,6 @@ def cmd_study(args) -> int:
         return EXIT_OK
 
     if args.study == "bridge-convergence":
-        from . import measures
-
         sizes = [int(v) for v in _csv_list(args.n_grid)]
         a = int(args.a)
         out.write("family,n,measure,value,closed_form_value\n")
@@ -235,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, EdgeListFormatError, DegcorrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug, not bad input: a message, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

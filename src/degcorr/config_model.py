@@ -12,17 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .errors import (
-    BalanceFailedError,
-    DegenerateSizeError,
-    EmptyGraphError,
-    UnbalancedStubsError,
-    ZeroVarianceError,
-)
+from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from .generators import PowerLawSpec, sample_integer_power_law
 from .graph import ALL_TYPES, DirectedGraph, degrees
-
-_UNDEFINED = (ZeroVarianceError, EmptyGraphError, DegenerateSizeError)
 
 
 @dataclass(frozen=True)
@@ -151,6 +143,8 @@ def randomization_study(
     """
     if repetitions < 2:
         raise ValueError("need at least 2 repetitions")
+    if rho_inner < 1:
+        raise ValueError(f"rho_inner must be >= 1, got {rho_inner}")
     if g.edge_count == 0:
         raise EmptyGraphError("cannot randomize an empty graph")
     d = degrees(g)
@@ -163,7 +157,8 @@ def randomization_study(
         ecm_ss, rho_ss = rep_ss.spawn(2)
         drawn, _ = erased_configuration_model(pairs, np.random.default_rng(ecm_ss))
         for t in ALL_TYPES:
-            for name, value in _measure_cells(drawn, t, rho_ss, rho_inner):
+            for name in measures.MEASURES:
+                value, _ = measures.cell_value(drawn, t, name, rho_ss, rho_inner)
                 if value is not None:
                     samples[(t.wire_name, name)].append(value)
 
@@ -179,25 +174,3 @@ def randomization_study(
             cells[key] = CellStats(float(arr.mean()), sigma, repetitions, k)
     return RandomizationSummary(repetitions, cells)
 
-
-def _measure_cells(g, t, rho_ss: np.random.SeedSequence, rho_inner: int):
-    try:
-        yield "pearson", measures.pearson(g, t)
-    except _UNDEFINED:
-        yield "pearson", None
-    try:
-        vals = [
-            measures._spearman_uniform_seeded(g, t, ss)
-            for ss in rho_ss.spawn(rho_inner)
-        ]
-        yield "spearman_uniform", float(np.mean(vals))
-    except _UNDEFINED:
-        yield "spearman_uniform", None
-    try:
-        yield "spearman_average", measures.spearman_average(g, t)
-    except _UNDEFINED:
-        yield "spearman_average", None
-    try:
-        yield "kendall", measures.kendall_tau(g, t)
-    except _UNDEFINED:
-        yield "kendall", None

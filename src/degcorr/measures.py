@@ -186,13 +186,46 @@ def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
 def concordance_counts(p: PairSeries) -> tuple[int, int]:
     """Exact counts of strictly concordant and strictly discordant pairs.
 
-    Sorts by (x, y) and counts strict y-inversions by merge sort (the
-    discordant pairs), then recovers the concordant count from the tie
-    structure: Nc = C(m,2) - xties - yties + jointties - Nd.
+    Reads both off the joint table C[i, j]: the number of pairs whose x is
+    the i-th and whose y is the j-th distinct value, ascending. With P the
+    2-D inclusive prefix sum of C, a pair in cell (i, j) is concordant with
+    the pairs in cells (<i, <j) and discordant with those in cells (<i, >j):
+
+        Nc = sum C[i, j] * P[i-1, j-1]
+        Nd = sum C[i, j] * (P[i-1, last] - P[i-1, j])
+
+    Series with too many distinct values for a table of O(m) cells take a
+    merge count instead.
     """
     m = len(p)
     if m < 2:
         return 0, 0
+    xs, xi = np.unique(p.x, return_inverse=True)
+    ys, yi = np.unique(p.y, return_inverse=True)
+    a, b = xs.size, ys.size
+    # A degree series always fits. The k distinct positive values on one
+    # side are degrees of k distinct nodes, so 1 + 2 + ... + k <= m, i.e.
+    # k(k+1)/2 <= m. With a possible 0 a side has at most k+1 values, and
+    # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
+    # call takes the table path.
+    if a * b > 4 * m:
+        return _merge_concordance_counts(p)
+    table = np.bincount(xi * b + yi, minlength=a * b).reshape(a, b)
+    # before[i, j] = P[i-1, j]: pairs in rows before i and columns up to j.
+    # Every product and both sums are at most m^2: exact in int64 for m < 3e9.
+    before = np.zeros_like(table)
+    before[1:] = table.cumsum(axis=0).cumsum(axis=1)[:-1]
+    nc = int((table[:, 1:] * before[:, :-1]).sum())
+    nd = int((table * (before[:, -1:] - before)).sum())
+    return nc, nd
+
+
+def _merge_concordance_counts(p: PairSeries) -> tuple[int, int]:
+    """Sort by (x, y), count strict y-inversions by merge sort (the
+    discordant pairs), then recover the concordant count from the tie
+    structure: Nc = C(m,2) - xties - yties + jointties - Nd.
+    """
+    m = len(p)
     order = np.lexsort((p.y, p.x))
     ys = p.y[order]
     nd = _kernels.count_strict_inversions(ys)
@@ -223,3 +256,30 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
         raise DegenerateSizeError("kendall needs at least 2 edges")
     nc, nd = concordance_counts(edge_degree_pairs(g, t))
     return 2 * (nc - nd) / (m * (m - 1))
+
+
+def cell_value(
+    g: DirectedGraph, t: DependencyType, name: str, ss: np.random.SeedSequence, rho_reps: int
+) -> tuple[float | None, str | None]:
+    """One report cell: (value, None), or (None, reason) when undefined.
+
+    reason is "zero_variance" or "degenerate_size". spearman_uniform is the
+    mean over rho_reps tie-break instances on children of ss. They are
+    spawned before anything can raise, so the streams of later cells that
+    share ss do not depend on whether this one is defined.
+    """
+    try:
+        if name == "spearman_uniform":
+            children = ss.spawn(rho_reps)
+            return float(np.mean([_spearman_uniform_seeded(g, t, c) for c in children])), None
+        if name == "pearson":
+            return pearson(g, t), None
+        if name == "spearman_average":
+            return spearman_average(g, t), None
+        if name == "kendall":
+            return kendall_tau(g, t), None
+    except ZeroVarianceError:
+        return None, "zero_variance"
+    except (EmptyGraphError, DegenerateSizeError):
+        return None, "degenerate_size"
+    raise ValueError(f"unknown measure {name!r}")

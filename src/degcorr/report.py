@@ -15,7 +15,6 @@ import numpy as np
 
 from . import measures
 from .config_model import RandomizationSummary
-from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import ALL_TYPES, DependencyType, DirectedGraph
 
 SCHEMA_VERSION = 1
@@ -59,13 +58,16 @@ def compute_report(
     The spearman_uniform cell reports the mean over rho_repetitions
     tie-break instances, each on a seed derived from (seed, type index).
     """
+    if rho_repetitions < 1:
+        raise ValueError(f"rho_repetitions must be >= 1, got {rho_repetitions}")
     cells: dict[tuple[str, str], Cell] = {}
     root = np.random.SeedSequence(seed)
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))
     for tname in types:
         t = DependencyType.from_wire(tname)
         for mname in which:
-            cells[(tname, mname)] = _evaluate_cell(g, t, mname, type_seeds[tname], rho_repetitions)
+            value, reason = measures.cell_value(g, t, mname, type_seeds[tname], rho_repetitions)
+            cells[(tname, mname)] = Cell(value, reason)
     return CorrelationReport(
         path=path,
         nodes=g.node_count,
@@ -78,27 +80,6 @@ def compute_report(
         measures=tuple(which),
         cells=cells,
     )
-
-
-def _evaluate_cell(g, t, mname, type_ss, rho_reps) -> Cell:
-    try:
-        if mname == "pearson":
-            return Cell(measures.pearson(g, t))
-        if mname == "spearman_average":
-            return Cell(measures.spearman_average(g, t))
-        if mname == "kendall":
-            return Cell(measures.kendall_tau(g, t))
-        if mname == "spearman_uniform":
-            vals = [
-                measures._spearman_uniform_seeded(g, t, ss)
-                for ss in type_ss.spawn(rho_reps)
-            ]
-            return Cell(float(np.mean(vals)))
-        raise ValueError(f"unknown measure {mname!r}")
-    except ZeroVarianceError:
-        return Cell(None, "zero_variance")
-    except (EmptyGraphError, DegenerateSizeError):
-        return Cell(None, "degenerate_size")
 
 
 def _fmt(x: float) -> str:

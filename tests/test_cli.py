@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import degcorr as dc
+from degcorr import report as report_mod
 from degcorr.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,13 @@ class TestCompute:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_rho_reps_below_one_exit_2(self, capsys, bridge_path, reps):
+        code, out, err = run_cli(capsys, "compute", "--input", bridge_path, "--rho-reps", reps)
+        assert code == 2
+        assert out == ""
+        assert "rho_repetitions" in err
+
     def test_json_validates_against_schema(self, capsys, bridge_path, cycle_path):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((REPO_ROOT / "docs" / "report.schema.json").read_text())
@@ -158,6 +166,12 @@ class TestRandomize:
         _, b, _ = run_cli(capsys, "randomize", "--input", str(path), "--reps", "3")
         assert a == b
 
+    def test_rho_reps_zero_exit_2(self, capsys, bridge_path):
+        code, out, err = run_cli(capsys, "randomize", "--input", bridge_path, "--reps", "2", "--rho-reps", "0")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_csv_with_baseline_columns(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         dc.write_edge_list(dc.bridge_graph(dc.BridgeParams(4, 4)), path)
@@ -221,6 +235,17 @@ class TestStudy:
     def test_unknown_study_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "study", "nope")
         assert code == 2
+
+
+def test_unexpected_exception_exit_3(capsys, monkeypatch, bridge_path):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(report_mod, "compute_report", broken)
+    code, out, err = run_cli(capsys, "compute", "--input", bridge_path)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_float_serialization_17_digits(capsys, tmp_path):

@@ -143,6 +143,12 @@ class TestRandomizationStudy:
         with pytest.raises(ValueError):
             randomization_study(g, 1, 0)
 
+    @pytest.mark.parametrize("rho_inner", [0, -2])
+    def test_requires_one_rho_rep(self, rho_inner):
+        g = dc.bridge_graph(dc.BridgeParams(2, 2))
+        with pytest.raises(ValueError, match="rho_inner"):
+            randomization_study(g, 2, 0, rho_inner=rho_inner)
+
     def test_null_model_self_consistency(self):
         # measuring a previous ECM draw against its own null should be small
         spec = PowerLawSpec(2.5, 1)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degcorr as dc
-from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
-from degcorr.measures import concordance_counts, pearson_from_pairs, variance_gap
+from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError, _kernels
+from degcorr.measures import cell_value, concordance_counts, pearson_from_pairs, variance_gap
 
 from helpers import brute_concordance, brute_pearson, random_multigraph
 
@@ -241,6 +242,56 @@ class TestKendall:
     def test_all_concordant(self):
         p = dc.PairSeries(np.array([1, 2, 3]), np.array([4, 5, 6]))
         assert concordance_counts(p) == (3, 0)
+
+    def test_high_cardinality_takes_merge_count(self, monkeypatch):
+        # 300 distinct values per side: a*b = 90000 > 4m = 1200
+        rng = np.random.default_rng(8)
+        p = dc.PairSeries(rng.permutation(300) * 7 - 900, rng.permutation(300) ** 2)
+        calls = []
+        count = _kernels.count_strict_inversions
+
+        def spy(values):
+            calls.append(len(values))
+            return count(values)
+
+        monkeypatch.setattr(_kernels, "count_strict_inversions", spy)
+        assert concordance_counts(p) == brute_concordance(p.tuples())
+        assert calls == [300]
+
+    def test_degree_series_fit_the_table(self, corpus, monkeypatch):
+        # the bound a*b <= 4m that keeps every degree series on the table path
+        golden = Path(__file__).resolve().parent / "golden"
+        graphs = corpus + [dc.load_edge_list(str(f)).graph for f in sorted(golden.glob("*.txt"))]
+
+        def no_merge(values):
+            raise AssertionError("degree series reached the merge count")
+
+        monkeypatch.setattr(_kernels, "count_strict_inversions", no_merge)
+        for g in graphs:
+            for t in dc.ALL_TYPES:
+                p = dc.edge_degree_pairs(g, t)
+                a, b = np.unique(p.x).size, np.unique(p.y).size
+                assert a * b <= 4 * len(p)
+                concordance_counts(p)
+
+
+class TestCellValue:
+    def test_values_and_reasons(self):
+        cycle = dc.DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+        one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
+        ss = np.random.SeedSequence(0)
+        assert cell_value(cycle, IN_OUT, "pearson", ss, 3) == (None, "zero_variance")
+        assert cell_value(cycle, IN_OUT, "kendall", ss, 3) == (0.0, None)
+        assert cell_value(one_edge, IN_OUT, "spearman_average", ss, 3) == (None, "degenerate_size")
+        with pytest.raises(ValueError, match="unknown measure"):
+            cell_value(cycle, IN_OUT, "nope", ss, 3)
+
+    def test_spearman_uniform_spawns_even_when_undefined(self):
+        # later cells sharing the stream must not shift with definedness
+        ss = np.random.SeedSequence(5)
+        one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
+        assert cell_value(one_edge, IN_OUT, "spearman_uniform", ss, 4) == (None, "degenerate_size")
+        assert ss.n_children_spawned == 4
 
 
 class TestInvariants:
