@@ -1,11 +1,15 @@
-"""Byte-for-byte comparison of CLI reports with a committed golden corpus.
+"""Byte-for-byte comparison with a committed golden corpus.
 
 tests/golden/ holds small edge lists and the `compute` and `randomize --reps 3`
 outputs recorded for them, as JSON and as CSV. Any change to a measure, a
 seed stream, the parser or the serializer that alters a single output byte
 fails here. The CLI runs inside the golden directory with relative --input
-names, because reports embed the input path. See tests/golden/README.md.
+names, because reports embed the input path. The generated inputs are also
+rebuilt from the `degcorr generate` commands listed in the README, so a
+change to a generator, the configuration model or the writer fails here too.
+See tests/golden/README.md.
 """
+import re
 from pathlib import Path
 
 import pytest
@@ -15,10 +19,14 @@ from degcorr.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = sorted(p.stem for p in GOLDEN.glob("*.txt"))
 COMMANDS = {"compute": [], "randomize": ["--reps", "3"]}
+GENERATED = dict(
+    re.findall(r"^\| `(\w+)\.txt` \| `degcorr generate ([^`]+)`", (GOLDEN / "README.md").read_text(), re.M)
+)
 
 
 def test_corpus_present():
     assert len(INPUTS) == 6
+    assert sorted(GENERATED) == ["bridge_3_5", "bridge_collection_50", "bridge_disconnected_4_3", "ecm_2000"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -31,3 +39,10 @@ def test_output_matches_golden(capsys, monkeypatch, stem, command, fmt):
     assert code == 0
     expected = (GOLDEN / f"{stem}.{command}.{fmt}").read_bytes()
     assert out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("stem", sorted(GENERATED))
+def test_generated_input_regenerates(tmp_path, stem):
+    out = tmp_path / f"{stem}.txt"
+    assert main(["generate", *GENERATED[stem].split(), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{stem}.txt").read_bytes()
