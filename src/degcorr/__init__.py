@@ -47,7 +47,6 @@ from .graph import (
     write_edge_list,
 )
 from .measures import (
-    MeasureValue,
     concordance_counts,
     kendall_tau,
     pearson,
@@ -75,7 +74,6 @@ __all__ = [
     "EdgeListFormatError",
     "EmptyGraphError",
     "LoadResult",
-    "MeasureValue",
     "PairSeries",
     "PowerLawSpec",
     "RandomizationSummary",

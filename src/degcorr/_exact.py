@@ -1,9 +1,11 @@
 """Overflow-safe exact integer reductions over numpy arrays.
 
 All correlation numerators and variance terms are integers before the final
-division, so they are accumulated exactly: with int64 numpy ops while a
-conservative bound proves no overflow, and with Python big ints otherwise.
-Both paths are order-independent, hence deterministic.
+division, so they are accumulated exactly. Every reduction is one sum of
+products, taken by `_exact_sum`: in int64 over blocks short enough that no
+block sum can overflow, with the block sums added as Python ints. Products
+are formed as Python ints only when a single product can reach 2**62. Both
+paths are exact, hence deterministic.
 """
 from __future__ import annotations
 
@@ -12,56 +14,40 @@ import numpy as np
 _INT64_SAFE = 2**62
 
 
-def _max_abs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    return int(np.abs(arr).max())
+def _exact_sum(factors: list[tuple[np.ndarray, int]]) -> int:
+    """Sum over i of the product of a[i]**k for (a, k) in factors, 0**0 == 1.
+
+    The arrays have equal length and the exponents are non-negative ints.
+    """
+    size = factors[0][0].size
+    bound = 1  # the largest possible |product|
+    for a, k in factors:
+        bound *= int(np.abs(a).max(initial=0)) ** k
+    if bound >= _INT64_SAFE:
+        big = np.ones(size, dtype=object)
+        for a, k in factors:
+            big *= a.astype(object) ** k
+        return int(big.sum())
+    prod = np.ones(size, dtype=np.int64)
+    for a, k in factors:
+        a = a.astype(np.int64, copy=False)
+        for _ in range(k):
+            prod *= a
+    # each block sum is at most block * bound <= 2**62
+    starts = np.arange(0, size, _INT64_SAFE // max(bound, 1))
+    return int(np.add.reduceat(prod, starts).astype(object).sum())
 
 
 def exact_dot(a: np.ndarray, b: np.ndarray) -> int:
     """Exact sum of elementwise products of two integer arrays."""
-    if a.size == 0:
-        return 0
-    bound = _max_abs(a) * _max_abs(b) * a.size
-    if bound < _INT64_SAFE:
-        return int(np.dot(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)))
-    return sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()))
+    return _exact_sum([(a, 1), (b, 1)])
 
 
 def exact_power_sum(arr: np.ndarray, k: int) -> int:
     """Exact sum of arr**k for non-negative integer k."""
-    if arr.size == 0:
-        return 0
-    if k == 0:
-        return arr.size
-    bound = _max_abs(arr) ** k * arr.size
-    if bound < _INT64_SAFE:
-        a = arr.astype(np.int64, copy=False)
-        out = a.copy()
-        for _ in range(k - 1):
-            out *= a
-        return int(out.sum())
-    return sum(int(v) ** k for v in arr.tolist())
+    return _exact_sum([(arr, k)])
 
 
 def exact_product_moment(a: np.ndarray, b: np.ndarray, p: int, q: int) -> int:
     """Exact sum of a**p * b**q over paired integer arrays, with 0**0 == 1."""
-    if a.size == 0:
-        return 0
-    if p == 0 and q == 0:
-        return a.size
-    if p == 0:
-        return exact_power_sum(b, q)
-    if q == 0:
-        return exact_power_sum(a, p)
-    bound = _max_abs(a) ** p * _max_abs(b) ** q * a.size
-    if bound < _INT64_SAFE:
-        x = a.astype(np.int64, copy=False)
-        y = b.astype(np.int64, copy=False)
-        out = x.copy()
-        for _ in range(p - 1):
-            out *= x
-        for _ in range(q):
-            out *= y
-        return int(out.sum())
-    return sum(int(x) ** p * int(y) ** q for x, y in zip(a.tolist(), b.tolist()))
+    return _exact_sum([(a, p), (b, q)])

@@ -28,6 +28,7 @@ from .generators import (
 )
 from .graph import DependencyType, load_edge_list, write_edge_list
 from .measures import pearson
+from .report import _fmt
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -172,7 +173,7 @@ def cmd_study(args) -> int:
         for row in rows:
             for n, med in row.points:
                 out.write(
-                    f"{n},{_g(row.p)},{_g(row.q)},{_g(med)},{_g(row.predicted)},{_g(row.slope)}\n"
+                    f"{n},{_fmt(row.p)},{_fmt(row.q)},{_fmt(med)},{_fmt(row.predicted)},{_fmt(row.slope)}\n"
                 )
         return EXIT_OK
 
@@ -198,7 +199,7 @@ def cmd_study(args) -> int:
                 ),
             ]
             for fam, mname, val, cf in rows:
-                out.write(f"{fam},{n},{mname},{_g(val)},{_g(cf)}\n")
+                out.write(f"{fam},{n},{mname},{_fmt(val)},{_fmt(cf)}\n")
         return EXIT_OK
 
     # bridge-distribution
@@ -206,12 +207,8 @@ def cmd_study(args) -> int:
     out.write("realization,pearson\n")
     for i, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.reals)):
         g = random_bridge_collection(args.n, args.a, spec, int(ss.generate_state(1)[0]))
-        out.write(f"{i},{_g(pearson(g, DependencyType.IN_OUT))}\n")
+        out.write(f"{i},{_fmt(pearson(g, DependencyType.IN_OUT))}\n")
     return EXIT_OK
-
-
-def _g(x) -> str:
-    return format(float(x), ".17g")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
-from .generators import PowerLawSpec, sample_integer_power_law
-from .graph import ALL_TYPES, DirectedGraph, degrees
+from ._exact import exact_power_sum
+from .generators import PowerLawSpec, _as_rng, sample_integer_power_law
+from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, degrees
 
 
 @dataclass(frozen=True)
@@ -66,25 +67,26 @@ def erased_configuration_model(
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("degree_pairs must have shape (n, 2)")
     out, inn = pairs[:, 0], pairs[:, 1]
-    if int(out.sum()) != int(inn.sum()):
-        raise UnbalancedStubsError(
-            f"sum(out)={int(out.sum())} != sum(in)={int(inn.sum())}"
-        )
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
+    # exact sums: degrees clipped at 2**62 can wrap an int64 total
+    stubs, in_stubs = exact_power_sum(out, 1), exact_power_sum(inn, 1)
+    if stubs != in_stubs:
+        raise UnbalancedStubsError(f"sum(out)={stubs} != sum(in)={in_stubs}")
+    if stubs > MAX_EDGES:
+        raise ValueError(f"{stubs} stubs exceed the budget of {MAX_EDGES}")
+    rng = _as_rng(seed_or_rng)
     n = pairs.shape[0]
     src = np.repeat(np.arange(n, dtype=np.int64), out)
     tgt = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), inn))
-    before = src.size
 
     keep = src != tgt
-    loops = before - int(np.count_nonzero(keep))
-    src, tgt = src[keep], tgt[keep]
-
-    stacked = np.stack([src, tgt], axis=1)
-    unique = np.unique(stacked, axis=0)
-    collapsed = int(src.size) - unique.shape[0]
-    graph = DirectedGraph(n, unique[:, 0].copy(), unique[:, 1].copy())
-    report = RewireReport(before, loops, collapsed, graph.edge_count)
+    loops = stubs - int(np.count_nonzero(keep))
+    # one int64 key per edge, sorted like (src, tgt) pairs; n * n < 2**63
+    # for any n whose degree array fits in memory. Sorted and deduplicated by
+    # hand: numpy 2.4's np.unique hashes 1-d input, ~60x slower at 1.3M keys.
+    key = np.sort(src[keep] * n + tgt[keep])
+    key = key[np.diff(key, prepend=-1) != 0]
+    graph = DirectedGraph(n, key // n, key % n)
+    report = RewireReport(stubs, loops, stubs - loops - key.size, graph.edge_count)
     return graph, report
 
 
@@ -106,7 +108,7 @@ def balance_iid_sequence(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     pairs = np.asarray(pairs, dtype=np.int64)
-    if int(pairs[:, 0].sum()) == int(pairs[:, 1].sum()):
+    if exact_power_sum(pairs[:, 0], 1) == exact_power_sum(pairs[:, 1], 1):
         return pairs, 0
     n = pairs.shape[0]
     out_rng, in_rng = (
@@ -118,11 +120,11 @@ def balance_iid_sequence(
         take = min(batch, max_attempts - attempts)
         outs = sample_integer_power_law(spec_out, out_rng, n * take).reshape(take, n)
         inns = sample_integer_power_law(spec_in, in_rng, n * take).reshape(take, n)
-        hits = np.flatnonzero(outs.sum(axis=1) == inns.sum(axis=1))
-        if hits.size:
-            i = int(hits[0])
-            attempts += i + 1
-            return np.column_stack([outs[i], inns[i]]), attempts
+        # int64 row sums wrap past 2**63: a hit stands when the exact sums agree
+        for i in np.flatnonzero(outs.sum(axis=1) == inns.sum(axis=1)).tolist():
+            if exact_power_sum(outs[i], 1) == exact_power_sum(inns[i], 1):
+                attempts += i + 1
+                return np.column_stack([outs[i], inns[i]]), attempts
         attempts += take
     raise BalanceFailedError(attempts)
 

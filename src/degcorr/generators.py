@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import MAX_EDGES, DirectedGraph
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,7 @@ def bridge_graph(p: BridgeParams) -> DirectedGraph:
     fan-in edges, the m fan-out edges, then the bridge edge last. Degrees:
     D-(v)=k, D+(v)=1, D+(w)=m, D-(w)=1, every leaf at most 1.
     """
-    k, m = p.k, p.m
-    src = np.concatenate(
-        [np.arange(2, k + 2), np.full(m, 1), np.array([0])]
-    ).astype(np.int64)
-    tgt = np.concatenate(
-        [np.zeros(k), np.arange(k + 2, k + m + 2), np.array([1])]
-    ).astype(np.int64)
-    return DirectedGraph(k + m + 2, src, tgt)
+    return _bridge_union([p.k], [p.m])
 
 
 def disconnected_bridge_graph(p: BridgeParams) -> DirectedGraph:
@@ -63,15 +56,42 @@ def disconnected_bridge_graph(p: BridgeParams) -> DirectedGraph:
     the fan edges. u has in- and out-degree 1, so no node carries both a
     large in- and a large out-degree.
     """
-    k, m = p.k, p.m
-    u = k + m + 2
-    src = np.concatenate(
-        [np.arange(2, k + 2), np.full(m, 1), np.array([0, u])]
-    ).astype(np.int64)
-    tgt = np.concatenate(
-        [np.zeros(k), np.arange(k + 2, k + m + 2), np.array([u, 1])]
-    ).astype(np.int64)
-    return DirectedGraph(k + m + 3, src, tgt)
+    g = bridge_graph(p)
+    u = g.node_count
+    src = np.append(g.src[:-1], [0, u])
+    tgt = np.append(g.tgt[:-1], [u, 1])
+    return DirectedGraph(u + 1, src, tgt)
+
+
+def _bridge_union(ks, ms) -> DirectedGraph:
+    """Disjoint union of bridge graphs G(ks[i], ms[i]) in component order.
+
+    Component i takes the contiguous node-id block starting at the sum of the
+    earlier components' sizes k+m+2, laid out and ordered like bridge_graph.
+    The sizes may come in any numeric dtype that holds their values.
+    """
+    ks, ms = np.asarray(ks), np.asarray(ms)
+    # one component over the budget puts the union over it; with none, the
+    # sizes fit int64 and their total cannot wrap
+    if max(ks.max(), ms.max()) > MAX_EDGES:
+        raise ValueError(f"a bridge component exceeds the budget of {MAX_EDGES} edges")
+    ks = ks.astype(np.int64)
+    counts = ks + ms.astype(np.int64) + 1
+    edges = int(counts.sum())
+    if edges > MAX_EDGES:
+        raise ValueError(f"bridge graphs with {edges} edges exceed the budget of {MAX_EDGES}")
+    first_edge = np.cumsum(counts) - counts
+    first_node = first_edge + np.arange(ks.size)  # one more node than edges per component
+    v = np.repeat(first_node, counts)
+    j = np.arange(edges) - np.repeat(first_edge, counts)
+    # edge j of a component: fan-in (v+2+j, v) for j < k, fan-out
+    # (v+1, v+2+j) for k <= j < k+m, and the bridge (v, v+1) for j = k+m
+    fan_in = j < np.repeat(ks, counts)
+    bridge = j == np.repeat(counts - 1, counts)
+    leaf = v + 2 + j
+    src = np.where(fan_in, leaf, np.where(bridge, v, v + 1))
+    tgt = np.where(fan_in, v, np.where(bridge, v + 1, leaf))
+    return DirectedGraph(edges + ks.size, src, tgt)
 
 
 def sample_integer_power_law(
@@ -100,8 +120,8 @@ def iid_degree_sequence(
     Not balanced: sum(out) != sum(in) in general. Balancing for the
     configuration model is a separate step.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_EDGES:
+        raise ValueError(f"n must be from 1 to the edge budget {MAX_EDGES}, got {n}")
     out_ss, in_ss = np.random.SeedSequence(seed).spawn(2)
     out = sample_integer_power_law(spec_out, np.random.default_rng(out_ss), n)
     inn = sample_integer_power_law(spec_in, np.random.default_rng(in_ss), n)
@@ -117,9 +137,9 @@ def random_bridge_collection(
     integer power-law samples on separate streams. Component node-id blocks
     are contiguous, each laid out like bridge_graph.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a <= 0:
+    if not 1 <= n <= MAX_EDGES:
+        raise ValueError(f"n must be from 1 to the edge budget {MAX_EDGES}, got {n}")
+    if not a > 0:
         raise ValueError("a must be positive")
     if not (1.0 < spec.gamma < 2.0):
         warnings.warn(
@@ -130,23 +150,10 @@ def random_bridge_collection(
     x_ss, y_ss = np.random.SeedSequence(seed).spawn(2)
     xs = sample_integer_power_law(spec, np.random.default_rng(x_ss), n)
     ys = sample_integer_power_law(spec, np.random.default_rng(y_ss), n)
-    ks = xs + ys
-    ms = np.floor(xs + a * ys.astype(np.float64)).astype(np.int64)
-
-    sizes = ks + ms + 2
-    offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    src_parts = []
-    tgt_parts = []
-    for off, k, m in zip(offsets.tolist(), ks.tolist(), ms.tolist()):
-        src_parts.append(np.arange(off + 2, off + k + 2))
-        src_parts.append(np.full(m, off + 1))
-        src_parts.append(np.array([off]))
-        tgt_parts.append(np.full(k, off))
-        tgt_parts.append(np.arange(off + k + 2, off + k + m + 2))
-        tgt_parts.append(np.array([off + 1]))
-    src = np.concatenate(src_parts).astype(np.int64)
-    tgt = np.concatenate(tgt_parts).astype(np.int64)
-    return DirectedGraph(int(sizes.sum()), src, tgt)
+    # float64 sizes: X + Y and X + a*Y can pass 2**63, and the union checks
+    # them against the budget before they become int64
+    ys = ys.astype(np.float64)
+    return _bridge_union(xs + ys, np.floor(xs + a * ys))
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:

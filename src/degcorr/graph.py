@@ -19,6 +19,13 @@ from .errors import EdgeListFormatError
 
 _MAX_EXTERNAL_ID = 2**63 - 1
 
+# Largest edge or stub count a generator or the configuration model builds.
+# A graph holds 16 bytes per edge (int64 src and tgt), 4 GiB at this budget,
+# and building one takes several such arrays; the budget turns requests that
+# cannot fit (a heavy tail can ask for 2**62 stubs) into an input error
+# before anything is allocated.
+MAX_EDGES = 2**28
+
 
 class DependencyType(Enum):
     """Choice of degree kind at the source and target of an edge.
@@ -190,10 +197,10 @@ Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 def load_edge_list(source: Source) -> LoadResult:
     """Parse whitespace-separated "src dst" lines into a graph.
 
-    Lines starting with '#' and blank lines are ignored. External ids (any
-    non-negative integers up to 2**63-1) are remapped to dense internal ids in
-    first-appearance order. The edge multiset is preserved in file order;
-    empty input yields a zero-edge graph.
+    Lines starting with '#' and blank lines are ignored; edge lines are
+    ASCII. External ids (decimal integers from 0 to 2**63-1, no '+' or '_')
+    are remapped to dense internal ids in first-appearance order. The edge
+    multiset is preserved in file order; empty input yields a zero-edge graph.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -205,10 +212,17 @@ def load_edge_list(source: Source) -> LoadResult:
         if isinstance(data, str):
             data = data.encode("utf-8")
 
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the bad byte's line as the loop below numbers lines
+        line_no = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise EdgeListFormatError(line_no, f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})") from None
+
     id_map: dict[int, int] = {}
     srcs: list[int] = []
     tgts: list[int] = []
-    for line_no, raw in enumerate(data.decode("utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -216,6 +230,9 @@ def load_edge_list(source: Source) -> LoadResult:
         if len(parts) != 2:
             raise EdgeListFormatError(line_no, f"expected two fields, got {len(parts)}")
         try:
+            # int() would also take '+', '_' separators and non-ASCII digits
+            if not line.isascii() or "_" in line or "+" in line:
+                raise ValueError(line)
             s_ext, t_ext = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListFormatError(line_no, f"non-integer node id in {line!r}") from None
@@ -261,10 +278,9 @@ def degrees(g: DirectedGraph) -> DegreeTable:
     return DegreeTable(out, inn)
 
 
-def edge_degree_pairs(g: DirectedGraph, t: DependencyType, d: DegreeTable | None = None) -> PairSeries:
+def edge_degree_pairs(g: DirectedGraph, t: DependencyType) -> PairSeries:
     """Per-edge (source-side degree, target-side degree) series for a type."""
-    if d is None:
-        d = degrees(g)
+    d = degrees(g)
     x = d.kind(t.source_kind)[g.src]
     y = d.kind(t.target_kind)[g.tgt]
     return PairSeries(x, y)

@@ -9,7 +9,6 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +21,18 @@ from .ranking import average_ranks_doubled, permutation_ranks
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    """A single correlation value tagged with its measure and dependency type."""
-
-    value: float
-    measure: str
-    dependency: DependencyType
-
-
 def _edge_count(g: DirectedGraph) -> int:
     if g.edge_count == 0:
         raise EmptyGraphError("graph has no edges")
     return g.edge_count
+
+
+def _edge_pairs(g: DirectedGraph, t: DependencyType, measure: str) -> tuple[int, PairSeries]:
+    """Edge count and pair series of a rank measure, which needs 2 edges."""
+    m = _edge_count(g)
+    if m <= 1:
+        raise DegenerateSizeError(f"{measure} needs at least 2 edges")
+    return m, edge_degree_pairs(g, t)
 
 
 def _weighted_moment(d: DegreeTable, weight: str, value: str, k: int) -> int:
@@ -57,7 +55,7 @@ def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
     return m * s2 - s1 * s1
 
 
-def pearson(g: DirectedGraph, t: DependencyType, d: DegreeTable | None = None) -> float:
+def pearson(g: DirectedGraph, t: DependencyType) -> float:
     """Pearson correlation of the per-edge degree pairs, via vertex sums.
 
     The variance and mean terms reduce to degree-moment sums; only the cross
@@ -65,8 +63,7 @@ def pearson(g: DirectedGraph, t: DependencyType, d: DegreeTable | None = None) -
     the series is constant (e.g. any directed cycle).
     """
     m = _edge_count(g)
-    if d is None:
-        d = degrees(g)
+    d = degrees(g)
     gap_src = variance_gap(d, "out", t.source_kind)
     gap_tgt = variance_gap(d, "in", t.target_kind)
     if gap_src == 0 or gap_tgt == 0:
@@ -119,10 +116,7 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
 
 
 def _spearman_uniform_seeded(g: DirectedGraph, t: DependencyType, ss: np.random.SeedSequence) -> float:
-    m = _edge_count(g)
-    if m <= 1:
-        raise DegenerateSizeError("spearman needs at least 2 edges")
-    p = edge_degree_pairs(g, t)
+    m, p = _edge_pairs(g, t, "spearman")
     src_ss, tgt_ss = ss.spawn(2)
     rx = permutation_ranks(p.x, "uniform_random", np.random.default_rng(src_ss))
     ry = permutation_ranks(p.y, "uniform_random", np.random.default_rng(tgt_ss))
@@ -140,10 +134,7 @@ def spearman_ranked(
     Exposes how strongly the value of rho under random tie breaking can
     depend on the particular ordering of tied entries.
     """
-    m = _edge_count(g)
-    if m <= 1:
-        raise DegenerateSizeError("spearman needs at least 2 edges")
-    p = edge_degree_pairs(g, t)
+    m, p = _edge_pairs(g, t, "spearman")
     rx = permutation_ranks(p.x, source_policy)
     ry = permutation_ranks(p.y, target_policy)
     return _rho_from_permutation_ranks(rx, ry, m)
@@ -168,10 +159,7 @@ def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
     Works on doubled ranks so every sum is an exact integer; a single float
     division produces the result.
     """
-    m = _edge_count(g)
-    if m <= 1:
-        raise DegenerateSizeError("spearman needs at least 2 edges")
-    p = edge_degree_pairs(g, t)
+    m, p = _edge_pairs(g, t, "spearman")
     u = average_ranks_doubled(p.x)
     v = average_ranks_doubled(p.y)
     shift = m * (m + 1) ** 2
@@ -251,10 +239,8 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    m = _edge_count(g)
-    if m <= 1:
-        raise DegenerateSizeError("kendall needs at least 2 edges")
-    nc, nd = concordance_counts(edge_degree_pairs(g, t))
+    m, p = _edge_pairs(g, t, "kendall")
+    nc, nd = concordance_counts(p)
     return 2 * (nc - nd) / (m * (m - 1))
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 TiePolicy = str
-POLICIES = ("average", "uniform_random", "by_index", "by_reverse_index")
 
 
 def average_ranks_doubled(values: np.ndarray) -> np.ndarray:

@@ -101,45 +101,39 @@ def to_json(report: CorrelationReport) -> str:
     out.write(f'  "seed": {report.seed},\n')
     out.write(f'  "rho_repetitions": {report.rho_repetitions},\n')
     out.write('  "measures": {\n')
-    tchunks = []
-    for tname in report.types:
-        lines = [f'    {_json_str(tname)}: {{']
-        mchunks = []
-        for mname in report.measures:
-            cell = report.cells[(tname, mname)]
-            if cell.value is None:
-                mchunks.append(f'      {_json_str(mname)}: {{"value": null, "reason": {_json_str(cell.reason)}}}')
-            else:
-                mchunks.append(f'      {_json_str(mname)}: {{"value": {_fmt(cell.value)}}}')
-        lines.append(",\n".join(mchunks))
-        lines.append("    }")
-        tchunks.append("\n".join(lines))
-    out.write(",\n".join(tchunks))
+    out.write(_json_cells(report, "    ", _json_cell))
     out.write("\n  }")
     if report.baseline is not None:
         out.write(',\n  "baseline": {\n')
         out.write(f'    "repetitions": {report.baseline.repetitions},\n')
         out.write('    "cells": {\n')
-        tchunks = []
-        for tname in report.types:
-            lines = [f'      {_json_str(tname)}: {{']
-            mchunks = []
-            for mname in report.measures:
-                st = report.baseline.cells[(tname, mname)]
-                mean = _fmt(st.mean) if st.mean is not None else "null"
-                sigma = _fmt(st.sigma) if st.sigma is not None else "null"
-                body = (
-                    f'{{"mean": {mean}, "sigma": {sigma}, '
-                    f'"defined": {st.defined}, "repetitions": {st.repetitions}}}'
-                )
-                mchunks.append(f"        {_json_str(mname)}: {body}")
-            lines.append(",\n".join(mchunks))
-            lines.append("      }")
-            tchunks.append("\n".join(lines))
-        out.write(",\n".join(tchunks))
+        out.write(_json_cells(report, "      ", _json_baseline_cell))
         out.write("\n    }\n  }")
     out.write("\n}\n")
     return out.getvalue()
+
+
+def _json_cells(report: CorrelationReport, indent: str, body) -> str:
+    """The members {type: {measure: body(report, type, measure)}}, one per line."""
+    blocks = []
+    for tname in report.types:
+        rows = ",\n".join(f"{indent}  {_json_str(m)}: {body(report, tname, m)}" for m in report.measures)
+        blocks.append(f"{indent}{_json_str(tname)}: {{\n{rows}\n{indent}}}")
+    return ",\n".join(blocks)
+
+
+def _json_cell(report: CorrelationReport, tname: str, mname: str) -> str:
+    cell = report.cells[(tname, mname)]
+    if cell.value is None:
+        return f'{{"value": null, "reason": {_json_str(cell.reason)}}}'
+    return f'{{"value": {_fmt(cell.value)}}}'
+
+
+def _json_baseline_cell(report: CorrelationReport, tname: str, mname: str) -> str:
+    st = report.baseline.cells[(tname, mname)]
+    mean = _fmt(st.mean) if st.mean is not None else "null"
+    sigma = _fmt(st.sigma) if st.sigma is not None else "null"
+    return f'{{"mean": {mean}, "sigma": {sigma}, "defined": {st.defined}, "repetitions": {st.repetitions}}}'
 
 
 def _json_str(s: str) -> str:

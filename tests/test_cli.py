@@ -133,6 +133,13 @@ class TestGenerate:
         assert g.self_loop_count() == 0
         assert g.duplicate_edge_count() == 0
 
+    def test_bridge_over_edge_budget_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "g.txt"
+        code, _, err = run_cli(capsys, "generate", "bridge", "--k", "1000000000000", "--m", "1", "--out", str(out_path))
+        assert code == 2
+        assert "budget" in err
+        assert not out_path.exists()
+
     def test_missing_params_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "generate", "bridge", "--out", str(tmp_path / "x.txt"))
         assert code == 2
@@ -231,6 +238,14 @@ class TestStudy:
         assert len(rows) == 5
         for r in rows:
             assert 0.0 < float(r["pearson"]) < 1.0
+
+    def test_bridge_distribution_over_edge_budget_exit_2(self, capsys):
+        # gamma = 0.1 draws components of up to 2**62 edges
+        with pytest.warns(UserWarning):
+            code, out, err = run_cli(capsys, "study", "bridge-distribution", "--gamma", "0.1", "--reals", "1")
+        assert code == 2
+        assert out == "realization,pearson\n"
+        assert err.startswith("error: ") and "budget" in err
 
     def test_unknown_study_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "study", "nope")

@@ -3,7 +3,8 @@ import pytest
 
 import degcorr as dc
 from degcorr import BalanceFailedError, PowerLawSpec, UnbalancedStubsError
-from degcorr.config_model import erased_configuration_model, randomization_study
+from degcorr import config_model
+from degcorr.config_model import RewireReport, erased_configuration_model, randomization_study
 
 
 class TestErasedConfigurationModel:
@@ -22,6 +23,34 @@ class TestErasedConfigurationModel:
     def test_unbalanced_rejected(self):
         with pytest.raises(UnbalancedStubsError):
             erased_configuration_model(np.array([[2, 0], [0, 1]]), 0)
+
+    def test_unbalanced_by_wrapped_int64_sums_rejected(self):
+        # sum(out) = 2**64 wraps to 0 == sum(in) in int64
+        with pytest.raises(UnbalancedStubsError):
+            erased_configuration_model(np.array([[2**62, 0]] * 4), 0)
+
+    def test_stub_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            erased_configuration_model(np.array([[2**40, 2**40]]), 0)
+
+    def test_kept_edges_are_the_sorted_non_loop_stub_pairs(self):
+        rng = np.random.default_rng(8)
+        collapsed = 0
+        for seed in range(10):
+            out = rng.integers(0, 6, 30)
+            inn = rng.permutation(out)
+            g, rep = erased_configuration_model(np.column_stack([out, inn]), seed)
+            # the documented matching: the shuffled in-stubs zipped against
+            # the out-stubs in node order
+            src = np.repeat(np.arange(30), out).tolist()
+            tgt = np.random.default_rng(seed).permutation(np.repeat(np.arange(30), inn)).tolist()
+            loops = sum(s == t for s, t in zip(src, tgt))
+            kept = sorted({(s, t) for s, t in zip(src, tgt) if s != t})
+            assert g.node_count == 30
+            assert g.edges == kept
+            assert rep == RewireReport(len(src), loops, len(src) - loops - len(kept), len(kept))
+            collapsed += rep.multi_edges_collapsed
+        assert collapsed > 0
 
     def test_output_is_simple(self):
         rng = np.random.default_rng(5)
@@ -95,6 +124,26 @@ class TestBalanceIidSequence:
         got, attempts = dc.balance_iid_sequence(pairs, spec, spec, 0)
         assert attempts == 0
         assert np.array_equal(got, pairs)
+
+    def test_wrapped_int64_sums_are_not_balanced(self):
+        # sum(out) = 2**64 wraps to 0 == sum(in); draws pinned at 1 balance
+        spec = PowerLawSpec(1e9, 1)
+        got, attempts = dc.balance_iid_sequence(np.array([[2**62, 0]] * 4), spec, spec, 0)
+        assert attempts == 1
+        assert got.tolist() == [[1, 1]] * 4
+
+    def test_wrapped_row_sums_are_not_a_hit(self, monkeypatch):
+        # attempt 1 has equal int64 row sums (2**64 wraps to 0) but is not
+        # balanced; attempt 2 is
+        draws = iter([
+            np.array([2**62] * 4 + [1] * 4),  # out-degrees of attempts 1 and 2
+            np.array([0] * 4 + [1] * 4),  # in-degrees
+        ])
+        monkeypatch.setattr(config_model, "sample_integer_power_law", lambda spec, rng, count: next(draws))
+        spec = PowerLawSpec(2.0, 1)
+        got, attempts = dc.balance_iid_sequence(np.array([[1, 0]] * 4), spec, spec, 0, max_attempts=2)
+        assert attempts == 2
+        assert got.tolist() == [[1, 1]] * 4
 
     def test_deterministic_mismatch_fails(self):
         # x_min 2 vs 1 with a huge exponent pins draws at their minima

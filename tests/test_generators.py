@@ -3,6 +3,8 @@ import pytest
 
 import degcorr as dc
 from degcorr import BridgeParams, PowerLawSpec
+from degcorr.generators import _bridge_union
+from degcorr.graph import MAX_EDGES
 
 IN_OUT = dc.DependencyType.IN_OUT
 
@@ -12,6 +14,22 @@ class TestBridgeGraph:
         g = dc.bridge_graph(BridgeParams(2, 3))
         assert g.node_count == 7
         assert g.edge_count == 6  # k + m + 1
+
+    def test_edge_sequence(self):
+        g = dc.bridge_graph(BridgeParams(2, 3))
+        assert g.node_count == 7
+        assert g.edges == [(2, 0), (3, 0), (1, 4), (1, 5), (1, 6), (0, 1)]
+
+    def test_over_budget_rejected_before_allocation(self):
+        with pytest.raises(ValueError, match="budget"):
+            dc.bridge_graph(BridgeParams(10**12, 1))
+        with pytest.raises(ValueError, match="budget"):
+            dc.bridge_graph(BridgeParams(10**30, 1))  # past int64 too
+
+    def test_union_total_over_budget_rejected(self):
+        # every component fits, their union does not
+        with pytest.raises(ValueError, match="budget"):
+            _bridge_union([MAX_EDGES // 2] * 3, [1] * 3)
 
     def test_path_when_minimal(self):
         g = dc.bridge_graph(BridgeParams(1, 1))
@@ -66,6 +84,11 @@ class TestDisconnectedBridgeGraph:
         assert d.out_degree[u] == 1 and d.in_degree[u] == 1
         # no node carries large degrees on both sides
         assert not np.any((d.out_degree >= 2) & (d.in_degree >= 2))
+
+    def test_edge_sequence(self):
+        g = dc.disconnected_bridge_graph(BridgeParams(2, 3))
+        assert g.node_count == 8
+        assert g.edges == [(2, 0), (3, 0), (1, 4), (1, 5), (1, 6), (0, 7), (7, 1)]
 
     def test_four_edge_path(self):
         g = dc.disconnected_bridge_graph(BridgeParams(1, 1))
@@ -133,6 +156,11 @@ class TestIidDegreeSequence:
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert abs(corr) < 0.01
 
+    def test_count_over_budget_rejected(self):
+        spec = PowerLawSpec(2.5, 1)
+        with pytest.raises(ValueError, match="budget"):
+            dc.iid_degree_sequence(2**40, spec, spec, 0)
+
     def test_not_balanced_in_general(self):
         spec = PowerLawSpec(2.0, 1)
         diffs = [
@@ -151,6 +179,23 @@ class TestRandomBridgeCollection:
         k = int(xs[0] + ys[0])
         m = int(np.floor(xs[0] + 2.0 * ys[0]))
         assert g == dc.bridge_graph(BridgeParams(k, m))
+
+    def test_three_component_edge_sequence(self):
+        # sizes (W, Z) = (3, 3), (2, 2), (2, 2); node blocks start at 0, 8, 14
+        g = dc.random_bridge_collection(3, 1.0, PowerLawSpec(1.5, 1), 1)
+        assert g.node_count == 20
+        assert g.edges == [
+            (2, 0), (3, 0), (4, 0), (1, 5), (1, 6), (1, 7), (0, 1),
+            (10, 8), (11, 8), (9, 12), (9, 13), (8, 9),
+            (16, 14), (17, 14), (15, 18), (15, 19), (14, 15),
+        ]
+
+    def test_over_budget_rejected(self):
+        # gamma = 0.1 draws components of up to 2**62 edges
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="budget"):
+            dc.random_bridge_collection(50, 1.0, PowerLawSpec(0.1, 1), 0)
+        with pytest.raises(ValueError, match="budget"):
+            dc.random_bridge_collection(2**40, 1.0, PowerLawSpec(1.5, 1), 0)
 
     def test_total_edges_identity(self):
         spec = PowerLawSpec(1.5, 1)

@@ -51,6 +51,37 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListFormatError):
             dc.load_edge_list(b"-1 2\n")
 
+    def test_negative_id_message_kept(self):
+        with pytest.raises(EdgeListFormatError, match="non-negative"):
+            dc.load_edge_list(b"0 1\n-1 2\n")
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0 1\n1_0 2\n", 2),  # int() takes '_' separators
+            ("0 1\n# c\n\u0663 4\n".encode(), 3),  # ARABIC-INDIC DIGIT THREE
+            (b"+1 2\n", 1),
+            (b"1 \xef\xbc\x92\n", 1),  # FULLWIDTH DIGIT TWO
+        ],
+    )
+    def test_only_ascii_decimal_ids(self, data, line):
+        with pytest.raises(EdgeListFormatError, match="non-integer") as exc:
+            dc.load_edge_list(data)
+        assert exc.value.line_number == line
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"0 1\n2 3\n4 \xff5\n", 3),
+            (b"\xff", 1),
+            (b"0 1\r\n\r\n# \xfe\n", 3),
+        ],
+    )
+    def test_decode_error_reports_line(self, data, line):
+        with pytest.raises(EdgeListFormatError, match="not UTF-8") as exc:
+            dc.load_edge_list(data)
+        assert exc.value.line_number == line
+
     def test_large_external_ids(self):
         big = 2**63 - 1
         lr = dc.load_edge_list(f"{big} 0\n".encode())
