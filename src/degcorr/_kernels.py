@@ -14,30 +14,24 @@ BACKEND = "python"
 def count_strict_inversions(values) -> int:
     """Number of pairs i < j with values[i] > values[j] (ties excluded).
 
-    Bottom-up merge over plain Python lists of ints.
+    Bottom-up merge sort on dense ranks r < n, one numpy pass per width w.
+    The key pair * n + r keeps each pair of adjacent w-blocks apart, so the
+    left blocks' keys are one sorted array. Each right-block element counts
+    the larger keys of its own left block with two searchsorted calls, and
+    one sort of the keys merges every pair of blocks. Keys stay below n^2.
     """
-    a = np.asarray(values, dtype=np.int64).tolist()
-    n = len(a)
-    b = [0] * n
+    _, r = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    n = r.size
+    pos = np.arange(n)
     total = 0
     width = 1
     while width < n:
-        lo = 0
-        while lo + width < n:
-            mid = lo + width
-            hi = min(mid + width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[j] < a[i]:
-                    total += mid - i
-                    b[k] = a[j]
-                    j += 1
-                else:
-                    b[k] = a[i]
-                    i += 1
-                k += 1
-            b[k:hi] = a[i:mid] if i < mid else a[j:hi]
-            a[lo:hi] = b[lo:hi]
-            lo += 2 * width
+        pair = pos // (2 * width)
+        right = pos % (2 * width) >= width
+        keys = pair * n + r
+        left = keys[~right]
+        larger = np.searchsorted(left, (pair[right] + 1) * n) - np.searchsorted(left, keys[right], "right")
+        total += int(larger.sum())
+        r = np.sort(keys) - pair * n
         width *= 2
     return total

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import sys
+import warnings
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .generators import (
     disconnected_bridge_graph,
     iid_degree_sequence,
     random_bridge_collection,
-    sample_integer_power_law,
 )
 from .graph import DependencyType, load_edge_list, write_edge_list
 from .measures import pearson
@@ -146,11 +147,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_study(args) -> int:
-    out = sys.stdout
+    out = io.StringIO()  # copied to stdout only when the whole study succeeds
     if args.study == "scaling":
         gam_out = args.gamma_out if args.gamma_out is not None else args.gamma
         gam_in = args.gamma_in if args.gamma_in is not None else args.gamma
-        gammas = theory.GammaPair(gam_out, gam_in)
         spec_out = PowerLawSpec(gam_out, args.xmin)
         spec_in = PowerLawSpec(gam_in, args.xmin)
         sizes = [int(v) for v in _csv_list(args.n_grid)]
@@ -158,27 +158,17 @@ def cmd_study(args) -> int:
         if len(pq_vals) % 2:
             raise DegcorrError("--pq expects pairs like 2,0 or 2,0,1,1")
         pq_pairs = [(pq_vals[i], pq_vals[i + 1]) for i in range(0, len(pq_vals), 2)]
-
-        def sample(n, ss):
-            out_rng, in_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-            return np.column_stack(
-                [
-                    sample_integer_power_law(spec_out, out_rng, n),
-                    sample_integer_power_law(spec_in, in_rng, n),
-                ]
-            )
-
-        rows = theory.scaling_study(sample, sizes, pq_pairs, gammas, args.reps, args.seed)
+        rows = theory.scaling_study(spec_out, spec_in, sizes, pq_pairs, args.reps, args.seed)
         out.write("n,p,q,sum,predicted_exponent,fitted_slope\n")
         for row in rows:
             for n, med in row.points:
                 out.write(
                     f"{n},{_fmt(row.p)},{_fmt(row.q)},{_fmt(med)},{_fmt(row.predicted)},{_fmt(row.slope)}\n"
                 )
-        return EXIT_OK
-
-    if args.study == "bridge-convergence":
+    elif args.study == "bridge-convergence":
         sizes = [int(v) for v in _csv_list(args.n_grid)]
+        if not args.a.is_integer():
+            raise DegcorrError(f"bridge-convergence needs an integer --a, got {args.a}")
         a = int(args.a)
         out.write("family,n,measure,value,closed_form_value\n")
         for n in sizes:
@@ -200,15 +190,18 @@ def cmd_study(args) -> int:
             ]
             for fam, mname, val, cf in rows:
                 out.write(f"{fam},{n},{mname},{_fmt(val)},{_fmt(cf)}\n")
-        return EXIT_OK
-
-    # bridge-distribution
-    spec = PowerLawSpec(args.gamma, args.xmin)
-    out.write("realization,pearson\n")
-    for i, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.reals)):
-        g = random_bridge_collection(args.n, args.a, spec, int(ss.generate_state(1)[0]))
-        out.write(f"{i},{_fmt(pearson(g, DependencyType.IN_OUT))}\n")
+    else:  # bridge-distribution
+        spec = PowerLawSpec(args.gamma, args.xmin)
+        out.write("realization,pearson\n")
+        for i, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.reals)):
+            g = random_bridge_collection(args.n, args.a, spec, int(ss.generate_state(1)[0]))
+            out.write(f"{i},{_fmt(pearson(g, DependencyType.IN_OUT))}\n")
+    sys.stdout.write(out.getvalue())
     return EXIT_OK
+
+
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -218,13 +211,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "randomize":
-            return cmd_randomize(args)
-        return cmd_study(args)
+        # library warnings become one "warning:" line each; the filters and
+        # the hook are restored on return
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _print_warning
+            if args.command == "compute":
+                return cmd_compute(args)
+            if args.command == "generate":
+                return cmd_generate(args)
+            if args.command == "randomize":
+                return cmd_randomize(args)
+            return cmd_study(args)
     except (OSError, EdgeListFormatError, DegcorrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -113,16 +113,18 @@ def sample_integer_power_law(
 
 
 def iid_degree_sequence(
-    n: int, spec_out: PowerLawSpec, spec_in: PowerLawSpec, seed: int
+    n: int, spec_out: PowerLawSpec, spec_in: PowerLawSpec, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
     """n independent (out, in) degree pairs from two independent streams.
 
-    Not balanced: sum(out) != sum(in) in general. Balancing for the
-    configuration model is a separate step.
+    The streams are the two children spawned from the seed's SeedSequence
+    (or from the SeedSequence passed in). Not balanced: sum(out) != sum(in)
+    in general. Balancing for the configuration model is a separate step.
     """
     if not 1 <= n <= MAX_EDGES:
         raise ValueError(f"n must be from 1 to the edge budget {MAX_EDGES}, got {n}")
-    out_ss, in_ss = np.random.SeedSequence(seed).spawn(2)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    out_ss, in_ss = ss.spawn(2)
     out = sample_integer_power_law(spec_out, np.random.default_rng(out_ss), n)
     inn = sample_integer_power_law(spec_in, np.random.default_rng(in_ss), n)
     return np.column_stack([out, inn])

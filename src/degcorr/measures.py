@@ -197,7 +197,7 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
     # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
     # call takes the table path.
     if a * b > 4 * m:
-        return _merge_concordance_counts(p)
+        return _merge_concordance_counts(p.x, yi)
     table = np.bincount(xi * b + yi, minlength=a * b).reshape(a, b)
     # before[i, j] = P[i-1, j]: pairs in rows before i and columns up to j.
     # Every product and both sums are at most m^2: exact in int64 for m < 3e9.
@@ -208,29 +208,18 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
     return nc, nd
 
 
-def _merge_concordance_counts(p: PairSeries) -> tuple[int, int]:
-    """Sort by (x, y), count strict y-inversions by merge sort (the
-    discordant pairs), then recover the concordant count from the tie
-    structure: Nc = C(m,2) - xties - yties + jointties - Nd.
+def _merge_concordance_counts(x: np.ndarray, r: np.ndarray) -> tuple[int, int]:
+    """Knight's (1966) merge count; r is the dense rank of y.
+
+    In (x, r) order a pair tied in x is sorted by r, and a pair tied in y is
+    no strict inversion, so the strict inversions of r are exactly the
+    discordant pairs. By the same argument the strict inversions of -r in
+    (x, -r) order are the concordant pairs. Negating ranks, not values,
+    cannot overflow at -2^63.
     """
-    m = len(p)
-    order = np.lexsort((p.y, p.x))
-    ys = p.y[order]
-    nd = _kernels.count_strict_inversions(ys)
-
-    def tie_pairs(counts: np.ndarray) -> int:
-        c = counts.astype(object)
-        return int(sum(k * (k - 1) // 2 for k in c))
-
-    _, cx = np.unique(p.x, return_counts=True)
-    _, cy = np.unique(p.y, return_counts=True)
-    xs = p.x[order]
-    joint_breaks = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    run_ids = np.concatenate(([0], np.cumsum(joint_breaks)))
-    cj = np.bincount(run_ids)
-    total = m * (m - 1) // 2
-    nc = total - tie_pairs(cx) - tie_pairs(cy) + tie_pairs(cj) - nd
-    return int(nc), int(nd)
+    nd = _kernels.count_strict_inversions(r[np.lexsort((r, x))])
+    nc = _kernels.count_strict_inversions(-r[np.lexsort((-r, x))])
+    return nc, nd
 
 
 def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:

@@ -3,12 +3,12 @@
 The report is the Table-1-shaped output of the CLI: one cell per
 (dependency type, measure), nulls carrying a machine-readable reason, plus
 optional randomized-baseline columns. Serialization is hand-rolled so that
-float formatting (17 significant digits) and key order are fixed, making
-repeated runs byte-identical.
+float formatting (17 significant digits), key order and layout are fixed,
+making repeated runs byte-identical.
 """
 from __future__ import annotations
 
-import io
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +60,9 @@ def compute_report(
     """
     if rho_repetitions < 1:
         raise ValueError(f"rho_repetitions must be >= 1, got {rho_repetitions}")
+    for what, chosen in (("types", types), ("measures", which)):
+        if not chosen or len(set(chosen)) < len(chosen):
+            raise ValueError(f"{what} must be a non-empty list without repeats, got {','.join(chosen)!r}")
     cells: dict[tuple[str, str], Cell] = {}
     root = np.random.SeedSequence(seed)
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))
@@ -88,57 +91,52 @@ def _fmt(x: float) -> str:
 
 def to_json(report: CorrelationReport) -> str:
     """Fixed-order JSON with 17-significant-digit floats."""
-    out = io.StringIO()
-    out.write("{\n")
-    out.write(f'  "schema_version": {SCHEMA_VERSION},\n')
-    out.write('  "graph": {\n')
-    out.write(f'    "path": {_json_str(report.path)},\n')
-    out.write(f'    "nodes": {report.nodes},\n')
-    out.write(f'    "edges": {report.edges},\n')
-    out.write(f'    "self_loops": {report.self_loops},\n')
-    out.write(f'    "duplicate_edges": {report.duplicate_edges}\n')
-    out.write("  },\n")
-    out.write(f'  "seed": {report.seed},\n')
-    out.write(f'  "rho_repetitions": {report.rho_repetitions},\n')
-    out.write('  "measures": {\n')
-    out.write(_json_cells(report, "    ", _json_cell))
-    out.write("\n  }")
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "graph": {k: getattr(report, k) for k in ("path", "nodes", "edges", "self_loops", "duplicate_edges")},
+        "seed": report.seed,
+        "rho_repetitions": report.rho_repetitions,
+        "measures": _by_cell(report, report.cells, _value_cell),
+    }
     if report.baseline is not None:
-        out.write(',\n  "baseline": {\n')
-        out.write(f'    "repetitions": {report.baseline.repetitions},\n')
-        out.write('    "cells": {\n')
-        out.write(_json_cells(report, "      ", _json_baseline_cell))
-        out.write("\n    }\n  }")
-    out.write("\n}\n")
-    return out.getvalue()
+        doc["baseline"] = {
+            "repetitions": report.baseline.repetitions,
+            "cells": _by_cell(report, report.baseline.cells, _baseline_cell),
+        }
+    return _json(doc) + "\n"
 
 
-def _json_cells(report: CorrelationReport, indent: str, body) -> str:
-    """The members {type: {measure: body(report, type, measure)}}, one per line."""
-    blocks = []
-    for tname in report.types:
-        rows = ",\n".join(f"{indent}  {_json_str(m)}: {body(report, tname, m)}" for m in report.measures)
-        blocks.append(f"{indent}{_json_str(tname)}: {{\n{rows}\n{indent}}}")
-    return ",\n".join(blocks)
+class _Line(dict):
+    """A JSON object that _json writes on one line: one report cell."""
 
 
-def _json_cell(report: CorrelationReport, tname: str, mname: str) -> str:
-    cell = report.cells[(tname, mname)]
-    if cell.value is None:
-        return f'{{"value": null, "reason": {_json_str(cell.reason)}}}'
-    return f'{{"value": {_fmt(cell.value)}}}'
+def _by_cell(report: CorrelationReport, cells: dict, body) -> dict:
+    return {t: {m: _Line(body(cells[(t, m)])) for m in report.measures} for t in report.types}
 
 
-def _json_baseline_cell(report: CorrelationReport, tname: str, mname: str) -> str:
-    st = report.baseline.cells[(tname, mname)]
-    mean = _fmt(st.mean) if st.mean is not None else "null"
-    sigma = _fmt(st.sigma) if st.sigma is not None else "null"
-    return f'{{"mean": {mean}, "sigma": {sigma}, "defined": {st.defined}, "repetitions": {st.repetitions}}}'
+def _value_cell(cell: Cell) -> dict:
+    return {"value": cell.value} if cell.value is not None else {"value": None, "reason": cell.reason}
 
 
-def _json_str(s: str) -> str:
-    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+def _baseline_cell(st) -> dict:
+    return {"mean": st.mean, "sigma": st.sigma, "defined": st.defined, "repetitions": st.repetitions}
+
+
+def _json(v, indent: str = "") -> str:
+    """Objects one member per line with two-space indent, cells on one line."""
+    if isinstance(v, _Line):
+        return "{" + ", ".join(f"{_json(k)}: {_json(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, dict):
+        inner = indent + "  "
+        members = ",\n".join(f"{inner}{_json(k)}: {_json(x, inner)}" for k, x in v.items())
+        return f"{{\n{members}\n{indent}}}"
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return json.dumps(v, ensure_ascii=False)
+    if isinstance(v, float):
+        return _fmt(v)
+    return str(v)
 
 
 def to_csv(report: CorrelationReport) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import PowerLawSpec, iid_degree_sequence
 from .graph import DependencyType
 
 # ---------------------------------------------------------------------------
@@ -83,10 +84,8 @@ def closed_form_spearman_bridge(n: int, a: int, variant: str = "connected") -> f
     e = sum(c for _, _, c in classes)
     rx = _doubled_average_ranks(classes, 0)
     ry = _doubled_average_ranks(classes, 1)
-    shift = e * (e + 1) ** 2
-    num = sum(c * rx[x] * ry[y] for x, y, c in classes) - shift
-    sx2 = sum(c * rx[x] ** 2 for x, _, c in classes) - shift
-    sy2 = sum(c * ry[y] ** 2 for _, y, c in classes) - shift
+    num = sum(c * rx[x] * ry[y] for x, y, c in classes) - e * (e + 1) ** 2
+    sx2, sy2 = sigma_products_bridge(n, a, variant)
     return num / math.sqrt(sx2 * sy2)
 
 
@@ -353,29 +352,33 @@ class ScalingRow:
 
 
 def scaling_study(
-    sample_degrees,
+    spec_out: PowerLawSpec,
+    spec_in: PowerLawSpec,
     sizes,
     pq_pairs,
-    gammas: GammaPair,
     repetitions: int,
     seed: int,
 ) -> list[ScalingRow]:
     """Regress log median moment sums against log n over a size grid.
 
-    sample_degrees(n, seed_sequence) must return an (n, 2) integer array of
-    (out, in) degrees. For each size, `repetitions` independent draws are
-    taken and the median of each moment sum is recorded; the slope of the
-    log-log regression is compared with the scaling_exponent prediction.
+    For each size, `repetitions` independent i.i.d. degree sequences are
+    drawn with generators.iid_degree_sequence, each on a child of the size's
+    seed sequence, and the median of each moment sum is recorded; the slope
+    of the log-log regression is compared with the scaling_exponent
+    prediction for the two specs' tail exponents.
     """
     sizes = [int(n) for n in sizes]
-    if len(sizes) < 3:
-        raise ValueError("need at least 3 grid sizes")
+    if len(set(sizes)) < max(3, len(sizes)):
+        raise ValueError("need at least 3 grid sizes, without repeats")
+    if repetitions < 1 or len(set(pq_pairs)) < len(pq_pairs):
+        raise ValueError("need at least 1 repetition and (p, q) pairs without repeats")
+    gammas = GammaPair(spec_out.gamma, spec_in.gamma)
     root = np.random.SeedSequence(seed)
     medians = {pq: [] for pq in pq_pairs}
     for n, size_ss in zip(sizes, root.spawn(len(sizes))):
         sums = {pq: [] for pq in pq_pairs}
         for rep_ss in size_ss.spawn(repetitions):
-            pairs = sample_degrees(n, rep_ss)
+            pairs = iid_degree_sequence(n, spec_out, spec_in, rep_ss)
             out = pairs[:, 0].astype(np.float64)
             inn = pairs[:, 1].astype(np.float64)
             for p, q in pq_pairs:

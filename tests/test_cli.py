@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,28 @@ class TestCompute:
             _, out, _ = run_cli(capsys, "compute", "--input", path)
             jsonschema.validate(json.loads(out), schema)
 
+    def test_path_with_control_characters_is_valid_json(self, capsys, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((REPO_ROOT / "docs" / "report.schema.json").read_text())
+        path = tmp_path / 'a\tb"c\\d.txt'
+        path.write_text("0 1\n1 2\n")
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema)
+        assert doc["graph"]["path"] == str(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--types", "out_in,out_in"), ("--types", ","), ("--measures", ""), ("--measures", "kendall,pearson,kendall")],
+    )
+    def test_repeated_or_empty_selection_exit_2(self, capsys, bridge_path, fmt, flag, value):
+        code, out, err = run_cli(capsys, "compute", "--input", bridge_path, flag, value, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "without repeats" in err
+
 
 class TestGenerate:
     def test_bridge_roundtrip(self, capsys, tmp_path):
@@ -139,6 +162,19 @@ class TestGenerate:
         assert code == 2
         assert "budget" in err
         assert not out_path.exists()
+
+    def test_library_warning_is_one_line(self, capsys, tmp_path):
+        filters, hook = list(warnings.filters), warnings.showwarning
+        code, _, err = run_cli(
+            capsys, "generate", "bridge-collection", "--n", "10", "--gamma", "0.5", "--seed", "1",
+            "--out", str(tmp_path / "g.txt"),
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: gamma=0.5 outside (1, 2); the limit of the In/Out Pearson value "
+            "is only non-degenerate for heavy tails"
+        ]
+        assert warnings.filters == filters and warnings.showwarning is hook
 
     def test_missing_params_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "generate", "bridge", "--out", str(tmp_path / "x.txt"))
@@ -241,11 +277,34 @@ class TestStudy:
 
     def test_bridge_distribution_over_edge_budget_exit_2(self, capsys):
         # gamma = 0.1 draws components of up to 2**62 edges
-        with pytest.warns(UserWarning):
-            code, out, err = run_cli(capsys, "study", "bridge-distribution", "--gamma", "0.1", "--reals", "1")
+        code, out, err = run_cli(capsys, "study", "bridge-distribution", "--gamma", "0.1", "--reals", "1")
         assert code == 2
-        assert out == "realization,pearson\n"
+        assert out == ""
+        warning, error = err.splitlines()
+        assert warning.startswith("warning: gamma=0.1 outside (1, 2)")
+        assert error.startswith("error: ") and "budget" in error
+
+    def test_scaling_over_edge_budget_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "study", "scaling", "--n-grid", "10,100,1000000000000", "--reps", "1")
+        assert code == 2
+        assert out == ""
         assert err.startswith("error: ") and "budget" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--reps", "0"], ["--pq", "2,0,2,0"], ["--n-grid", "10,20,10"], ["--n-grid", "10,20"]]
+    )
+    def test_scaling_bad_grid_exit_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "study", "scaling", "--n-grid", "10,20,40", "--reps", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("a", ["0", "2.5", "inf"])
+    def test_bridge_convergence_bad_a_exit_2(self, capsys, a):
+        code, out, err = run_cli(capsys, "study", "bridge-convergence", "--a", a, "--n-grid", "3,10,30")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_unknown_study_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "study", "nope")

@@ -150,6 +150,22 @@ class TestIidDegreeSequence:
         b = dc.iid_degree_sequence(500, spec, spec, 3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("k", [0, 5, 555])
+    def test_seed_sequence_gives_its_two_children(self, k):
+        # the streams the scaling study drew from before it called this function
+        spec = PowerLawSpec(1.5, 1)
+        out_ss, in_ss = np.random.SeedSequence(k).spawn(2)
+        expected = np.column_stack(
+            [
+                dc.sample_integer_power_law(spec, np.random.default_rng(out_ss), 300),
+                dc.sample_integer_power_law(spec, np.random.default_rng(in_ss), 300),
+            ]
+        )
+        ss = np.random.SeedSequence(k)
+        assert np.array_equal(dc.iid_degree_sequence(300, spec, spec, ss), expected)
+        assert ss.n_children_spawned == 2
+        assert np.array_equal(dc.iid_degree_sequence(300, spec, spec, k), expected)
+
     def test_sides_independent(self):
         spec = PowerLawSpec(4.0, 1)
         pairs = dc.iid_degree_sequence(100_000, spec, spec, 8)

@@ -27,6 +27,25 @@ def test_large_input_matches_numpy_count():
     assert _kernels.count_strict_inversions(vals) == expected
 
 
+def test_random_int64_matches_numpy_count():
+    rng = np.random.default_rng(11)
+    vals = rng.integers(-(2**63), 2**63 - 1, 10_000, endpoint=True)
+    # the full comparison matrix, 1000 rows at a time: pairs i < j with vals[i] > vals[j]
+    cols = np.arange(vals.size)
+    expected = sum(
+        int(((vals[i : i + 1000, None] > vals) & (cols > cols[i : i + 1000, None])).sum())
+        for i in range(0, vals.size, 1000)
+    )
+    assert _kernels.count_strict_inversions(vals) == expected
+
+
+def test_int64_extremes():
+    lo, hi = -(2**63), 2**63 - 1
+    assert _kernels.count_strict_inversions([hi, lo]) == 1
+    assert _kernels.count_strict_inversions([lo, hi, lo, 0, hi]) == 2
+    assert _kernels.count_strict_inversions(np.array([hi, hi, 0, lo, lo], dtype=np.int64)) == 8
+
+
 def test_ties_never_counted():
     assert _kernels.count_strict_inversions(np.array([3, 3, 3, 3])) == 0
 

@@ -244,9 +244,12 @@ class TestKendall:
         assert concordance_counts(p) == (3, 0)
 
     def test_high_cardinality_takes_merge_count(self, monkeypatch):
-        # 300 distinct values per side: a*b = 90000 > 4m = 1200
+        # 300 distinct values per side: a*b = 90000 > 4m = 1200; the y of
+        # -2**63 would overflow a merge count that negated values
         rng = np.random.default_rng(8)
-        p = dc.PairSeries(rng.permutation(300) * 7 - 900, rng.permutation(300) ** 2)
+        y = rng.permutation(300) ** 2
+        y[17] = -(2**63)
+        p = dc.PairSeries(rng.permutation(300) * 7 - 900, y)
         calls = []
         count = _kernels.count_strict_inversions
 
@@ -256,7 +259,23 @@ class TestKendall:
 
         monkeypatch.setattr(_kernels, "count_strict_inversions", spy)
         assert concordance_counts(p) == brute_concordance(p.tuples())
-        assert calls == [300]
+        assert calls == [300, 300]
+
+    def test_merge_count_with_ties_matches_brute_force(self, monkeypatch):
+        # ties on both sides: 20 x values, ~200 y values (a*b > 4m = 1200)
+        rng = np.random.default_rng(9)
+        y = rng.integers(-(2**63), 2**63 - 1, 300, endpoint=True) // 2**56
+        p = dc.PairSeries(rng.integers(0, 20, 300), y)
+        calls = []
+        count = _kernels.count_strict_inversions
+
+        def spy(values):
+            calls.append(len(values))
+            return count(values)
+
+        monkeypatch.setattr(_kernels, "count_strict_inversions", spy)
+        assert concordance_counts(p) == brute_concordance(p.tuples())
+        assert calls == [300, 300]
 
     def test_degree_series_fit_the_table(self, corpus, monkeypatch):
         # the bound a*b <= 4m that keeps every degree series on the table path

@@ -282,34 +282,19 @@ class TestSupportFunction:
 
 
 class TestScalingStudy:
-    @staticmethod
-    def _sampler(gamma):
-        spec = dc.PowerLawSpec(gamma, 1)
-
-        def sample(n, ss):
-            a, b = (np.random.default_rng(s) for s in ss.spawn(2))
-            return np.column_stack(
-                [
-                    dc.sample_integer_power_law(spec, a, n),
-                    dc.sample_integer_power_law(spec, b, n),
-                ]
-            )
-
-        return sample
-
     def test_light_tail_linear_growth(self):
         rows = theory.scaling_study(
-            self._sampler(5.0), [1000, 4000, 16000], [(1, 0)], GammaPair(5, 5), 10, 3
+            dc.PowerLawSpec(5.0), dc.PowerLawSpec(5.0), [1000, 4000, 16000], [(1, 0)], 10, 3
         )
         assert rows[0].predicted == 1.0
         assert rows[0].slope == pytest.approx(1.0, abs=0.05)
 
     def test_heavy_tail_superlinear_growth(self):
         rows = theory.scaling_study(
-            self._sampler(1.5),
+            dc.PowerLawSpec(1.5),
+            dc.PowerLawSpec(1.5),
             [1000, 10_000, 100_000],
             [(2, 0)],
-            GammaPair(1.5, 1.5),
             20,
             3,
         )
@@ -318,13 +303,13 @@ class TestScalingStudy:
 
     def test_deterministic(self):
         a = theory.scaling_study(
-            self._sampler(2.0), [100, 200, 400], [(1, 0), (2, 0)], GammaPair(2, 2), 5, 8
+            dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [100, 200, 400], [(1, 0), (2, 0)], 5, 8
         )
         b = theory.scaling_study(
-            self._sampler(2.0), [100, 200, 400], [(1, 0), (2, 0)], GammaPair(2, 2), 5, 8
+            dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [100, 200, 400], [(1, 0), (2, 0)], 5, 8
         )
         assert a == b
 
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
-            theory.scaling_study(self._sampler(2.0), [10, 20], [(1, 0)], GammaPair(2, 2), 3, 0)
+            theory.scaling_study(dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [10, 20], [(1, 0)], 3, 0)
