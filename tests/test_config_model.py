@@ -5,6 +5,7 @@ import degcorr as dc
 from degcorr import BalanceFailedError, PowerLawSpec, UnbalancedStubsError
 from degcorr import config_model
 from degcorr.config_model import RewireReport, erased_configuration_model, randomization_study
+from degcorr.generators import sample_integer_power_law
 
 
 class TestErasedConfigurationModel:
@@ -166,6 +167,79 @@ class TestBalanceIidSequence:
         a, na = dc.balance_iid_sequence(pairs, spec, spec, 9)
         b, nb = dc.balance_iid_sequence(pairs, spec, spec, 9)
         assert na == nb and np.array_equal(a, b)
+
+
+def _naive_balance(pairs, spec_out, spec_in, seed, max_attempts):
+    """One attempt per pair of draws on the balancer's two streams, summed as Python ints."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if sum(pairs[:, 0].tolist()) == sum(pairs[:, 1].tolist()):
+        return pairs, 0
+    n = pairs.shape[0]
+    out_rng, in_rng = (np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(2))
+    for attempt in range(1, max_attempts + 1):
+        out = sample_integer_power_law(spec_out, out_rng, n)
+        inn = sample_integer_power_law(spec_in, in_rng, n)
+        if sum(out.tolist()) == sum(inn.tolist()):
+            return np.column_stack([out, inn]), attempt
+    raise BalanceFailedError(max_attempts)
+
+
+def _iid_cm_balance_attempts(n: int, seed: int) -> int:
+    # the balancing step of acceptance 8's iid-cm family (gamma 1.5)
+    spec = PowerLawSpec(1.5, 1)
+    seq_ss, bal_ss, _ = np.random.SeedSequence(seed).spawn(3)
+    pairs = dc.iid_degree_sequence(n, spec, spec, int(seq_ss.generate_state(1)[0]))
+    balanced, attempts = dc.balance_iid_sequence(
+        pairs, spec, spec, int(bal_ss.generate_state(1)[0]), max_attempts=200_000
+    )
+    assert sum(balanced[:, 0].tolist()) == sum(balanced[:, 1].tolist())
+    return attempts
+
+
+class TestBalanceStreams:
+    def test_acceptance_family_attempts_pinned(self):
+        got = [_iid_cm_balance_attempts(1000, seed) for seed in range(10)]
+        assert got == [248, 440, 215, 1452, 360, 2589, 251, 279, 972, 645]
+
+    def test_acceptance_family_large_attempts_pinned(self):
+        assert _iid_cm_balance_attempts(30_000, 1) == 843
+
+    # (n, gamma, seed, budgets): hits on attempts 2, 5, 266, 220 and 89; the
+    # budgets end just before, on and after each hit, and most are not a
+    # multiple of the attempts drawn per block
+    @pytest.mark.parametrize(
+        "n, gamma, seed, budgets",
+        [
+            (1, 1.5, 0, [1, 2, 3]),
+            (7, 1.5, 3, [4, 5, 9999]),
+            (300, 1.5, 0, [265, 266, 500]),
+            (300, 2.5, 3, [219, 220, 437]),
+            (2**16 + 1, 2.5, 1, [88, 89]),
+        ],
+    )
+    def test_matches_per_attempt_loop(self, n, gamma, seed, budgets):
+        spec = PowerLawSpec(gamma, 1)
+        pairs = dc.iid_degree_sequence(n, spec, spec, seed)
+        want, hit = _naive_balance(pairs, spec, spec, seed, max(budgets))
+        for budget in budgets:
+            if hit <= budget:
+                got, attempts = dc.balance_iid_sequence(pairs, spec, spec, seed, budget)
+                assert attempts == hit
+                assert np.array_equal(got, want)
+            else:
+                with pytest.raises(BalanceFailedError) as exc:
+                    dc.balance_iid_sequence(pairs, spec, spec, seed, budget)
+                assert exc.value.attempts == budget
+
+    @pytest.mark.parametrize("n, budget", [(1, 3), (7, 10_000), (300, 500)])
+    def test_exhausted_budget_matches_per_attempt_loop(self, n, budget):
+        out_spec, in_spec = PowerLawSpec(1e9, 2), PowerLawSpec(1e9, 1)
+        pairs = np.array([[2, 1]] * n)
+        with pytest.raises(BalanceFailedError) as want:
+            _naive_balance(pairs, out_spec, in_spec, 4, budget)
+        with pytest.raises(BalanceFailedError) as got:
+            dc.balance_iid_sequence(pairs, out_spec, in_spec, 4, budget)
+        assert got.value.attempts == want.value.attempts == budget
 
 
 class TestRandomizationStudy:
