@@ -191,11 +191,12 @@ def cmd_study(args) -> int:
             for fam, mname, val, cf in rows:
                 out.write(f"{fam},{n},{mname},{_fmt(val)},{_fmt(cf)}\n")
     else:  # bridge-distribution
-        spec = PowerLawSpec(args.gamma, args.xmin)
+        values = theory.bridge_distribution_study(
+            args.n, args.a, PowerLawSpec(args.gamma, args.xmin), args.reals, args.seed
+        )
         out.write("realization,pearson\n")
-        for i, ss in enumerate(np.random.SeedSequence(args.seed).spawn(args.reals)):
-            g = random_bridge_collection(args.n, args.a, spec, int(ss.generate_state(1)[0]))
-            out.write(f"{i},{_fmt(pearson(g, DependencyType.IN_OUT))}\n")
+        for i, value in enumerate(values):
+            out.write(f"{i},{_fmt(value)}\n")
     sys.stdout.write(out.getvalue())
     return EXIT_OK
 

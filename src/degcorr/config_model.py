@@ -14,7 +14,7 @@ import numpy as np
 from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import exact_power_sum
-from .generators import PowerLawSpec, _as_rng, sample_integer_power_law
+from .generators import PowerLawSpec, _as_rng, _pareto_floor
 from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, degrees
 
 
@@ -100,10 +100,22 @@ def balance_iid_sequence(
     """Resample a full i.i.d. (out, in) sequence until the sums match.
 
     Returns (balanced_pairs, resample_count). The initial sequence counts as
-    attempt zero and is returned unchanged when already balanced. Raises
-    BalanceFailedError when the budget runs out; the match probability per
-    attempt is small but positive for non-degenerate specs, so the budget is
-    a configuration knob rather than a correctness parameter.
+    attempt zero and is returned unchanged when already balanced. Attempt k
+    takes the k-th n draws of each of the two streams spawned from seed.
+
+    Attempts are drawn a block of rows at a time into two reused float64
+    buffers of at most 2**16 elements each (one row when n is larger), so the
+    block stays in cache; row r of a block is one attempt. Row sums are taken
+    in float64: all terms are non-negative integers, so a sum below 2**53 is
+    exact, and a row is a candidate when its two sums are equal. When either
+    sum reaches 2**53, the row is a candidate when its two int64 sums agree
+    modulo 2**64 instead. Every candidate is confirmed with exact integer
+    sums before it is returned.
+
+    Raises BalanceFailedError when the budget runs out; the match
+    probability per attempt is small but positive for non-degenerate specs,
+    so the budget is a configuration knob rather than a correctness
+    parameter.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
@@ -114,17 +126,26 @@ def balance_iid_sequence(
     out_rng, in_rng = (
         np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(2)
     )
-    batch = max(1, min(256, max_attempts, 2**22 // max(n, 1)))
+    rows = max(1, min(max_attempts, 2**16 // n))
+    out_block, in_block = np.empty((rows, n)), np.empty((rows, n))
     attempts = 0
     while attempts < max_attempts:
-        take = min(batch, max_attempts - attempts)
-        outs = sample_integer_power_law(spec_out, out_rng, n * take).reshape(take, n)
-        inns = sample_integer_power_law(spec_in, in_rng, n * take).reshape(take, n)
-        # int64 row sums wrap past 2**63: a hit stands when the exact sums agree
-        for i in np.flatnonzero(outs.sum(axis=1) == inns.sum(axis=1)).tolist():
-            if exact_power_sum(outs[i], 1) == exact_power_sum(inns[i], 1):
-                attempts += i + 1
-                return np.column_stack([outs[i], inns[i]]), attempts
+        take = min(rows, max_attempts - attempts)
+        outs = _pareto_floor(spec_out, out_rng, out_block[:take])
+        inns = _pareto_floor(spec_in, in_rng, in_block[:take])
+        out_sums, in_sums = outs.sum(axis=1), inns.sum(axis=1)
+        candidates = out_sums == in_sums
+        # past 2**53 the float sums may round; exact sums that agree also
+        # agree modulo 2**64, as int64 sums
+        big = np.maximum(out_sums, in_sums) >= 2.0**53
+        if big.any():
+            candidates[big] = (
+                outs[big].astype(np.int64).sum(axis=1) == inns[big].astype(np.int64).sum(axis=1)
+            )
+        for i in np.flatnonzero(candidates).tolist():
+            out, inn = outs[i].astype(np.int64), inns[i].astype(np.int64)
+            if exact_power_sum(out, 1) == exact_power_sum(inn, 1):
+                return np.column_stack([out, inn]), attempts + i + 1
         attempts += take
     raise BalanceFailedError(attempts)
 

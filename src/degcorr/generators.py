@@ -27,14 +27,17 @@ class BridgeParams:
 
 @dataclass(frozen=True)
 class PowerLawSpec:
-    """Pareto tail: P(X > t) ~ (x_min / t)**gamma. Moments of order >= gamma diverge."""
+    """Pareto tail: P(X > t) ~ (x_min / t)**gamma. Moments of order >= gamma diverge.
+
+    gamma = inf is allowed: every draw then equals x_min. NaN is rejected.
+    """
 
     gamma: float
     x_min: int = 1
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.x_min < 1:
             raise ValueError("x_min must be a positive integer")
 
@@ -105,11 +108,23 @@ def sample_integer_power_law(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = _as_rng(seed_or_rng)
-    u = rng.random(count)
-    x = spec.x_min * (1.0 - u) ** (-1.0 / spec.gamma)
+    return _pareto_floor(spec, _as_rng(seed_or_rng), np.empty(count)).astype(np.int64)
+
+
+def _pareto_floor(spec: PowerLawSpec, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Fill a C-contiguous float64 buf in place with the draws of
+    sample_integer_power_law, as integral floats, and return it.
+
+    One uniform per element, taken in C order, so filling a block of rows
+    uses the stream exactly as consecutive calls of one row each.
+    """
+    rng.random(out=buf)
+    np.subtract(1.0, buf, out=buf)
+    np.power(buf, -1.0 / spec.gamma, out=buf)
+    np.multiply(buf, spec.x_min, out=buf)
     # values beyond int64 have probability ~ 2^-62 per draw for gamma >= 1
-    return np.floor(np.minimum(x, 2.0**62)).astype(np.int64)
+    np.minimum(buf, 2.0**62, out=buf)
+    return np.floor(buf, out=buf)
 
 
 def iid_degree_sequence(

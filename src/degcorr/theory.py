@@ -1,5 +1,5 @@
-"""Closed forms, limit constants and scaling-law utilities for the bridge
-families and heavy-tailed degree sequences.
+"""Closed forms, limit constants, scaling-law utilities and empirical studies
+for the bridge families and heavy-tailed degree sequences.
 
 The bridge-graph closed forms are evaluated from the family's block
 structure (three edge classes for the connected graph, four for the
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import PowerLawSpec, iid_degree_sequence
+from .generators import PowerLawSpec, iid_degree_sequence, random_bridge_collection
 from .graph import DependencyType
+from .measures import pearson
 
 # ---------------------------------------------------------------------------
 # bridge-family block structure
@@ -223,7 +224,7 @@ class GammaPair:
     gamma_in: float
 
     def __post_init__(self):
-        if self.gamma_out <= 0 or self.gamma_in <= 0:
+        if not (self.gamma_out > 0 and self.gamma_in > 0):
             raise ValueError("tail exponents must be positive")
 
 
@@ -372,6 +373,8 @@ def scaling_study(
         raise ValueError("need at least 3 grid sizes, without repeats")
     if repetitions < 1 or len(set(pq_pairs)) < len(pq_pairs):
         raise ValueError("need at least 1 repetition and (p, q) pairs without repeats")
+    if not all(math.isfinite(v) for pq in pq_pairs for v in pq):
+        raise ValueError(f"p and q must be finite, got {pq_pairs}")
     gammas = GammaPair(spec_out.gamma, spec_in.gamma)
     root = np.random.SeedSequence(seed)
     medians = {pq: [] for pq in pq_pairs}
@@ -400,3 +403,20 @@ def scaling_study(
             )
         )
     return rows
+
+
+def bridge_distribution_study(
+    n: int, a: float, spec: PowerLawSpec, realizations: int, seed: int
+) -> list[float]:
+    """In/Out Pearson value of independent random bridge collections.
+
+    Realization i is random_bridge_collection(n, a, spec, s_i), where s_i is
+    the first word of the i-th child spawned from the seed's SeedSequence.
+    """
+    if realizations < 1:
+        raise ValueError(f"need at least 1 realization, got {realizations}")
+    values = []
+    for ss in np.random.SeedSequence(seed).spawn(realizations):
+        g = random_bridge_collection(n, a, spec, int(ss.generate_state(1)[0]))
+        values.append(pearson(g, DependencyType.IN_OUT))
+    return values

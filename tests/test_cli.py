@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -176,6 +177,24 @@ class TestGenerate:
         ]
         assert warnings.filters == filters and warnings.showwarning is hook
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["iid-cm", "--n", "5", "--gamma-out", "nan"],
+            ["iid-cm", "--n", "5", "--gamma-out", "nan", "--gamma-in", "nan"],
+            ["bridge-collection", "--n", "3", "--gamma", "nan"],
+        ],
+    )
+    def test_nan_gamma_exit_2(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "g.txt"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", *flags, "--out", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "gamma" in err
+        assert not out_path.exists()
+
     def test_missing_params_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "generate", "bridge", "--out", str(tmp_path / "x.txt"))
         assert code == 2
@@ -305,6 +324,22 @@ class TestStudy:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("reals", ["-1", "0"])
+    def test_bridge_distribution_bad_reals_exit_2(self, capsys, reals):
+        code, out, err = run_cli(capsys, "study", "bridge-distribution", "--n", "10", "--reals", reals)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "realization" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, word", [("--pq", "nan,0", "finite"), ("--pq", "inf,0", "finite"), ("--gamma", "nan", "gamma")]
+    )
+    def test_scaling_non_finite_exit_2(self, capsys, flag, value, word):
+        code, out, err = run_cli(capsys, "study", "scaling", "--n-grid", "10,20,40", "--reps", "1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and word in err
 
     def test_unknown_study_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "study", "nope")

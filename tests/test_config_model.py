@@ -133,18 +133,45 @@ class TestBalanceIidSequence:
         assert attempts == 1
         assert got.tolist() == [[1, 1]] * 4
 
-    def test_wrapped_row_sums_are_not_a_hit(self, monkeypatch):
-        # attempt 1 has equal int64 row sums (2**64 wraps to 0) but is not
-        # balanced; attempt 2 is
-        draws = iter([
-            np.array([2**62] * 4 + [1] * 4),  # out-degrees of attempts 1 and 2
-            np.array([0] * 4 + [1] * 4),  # in-degrees
-        ])
-        monkeypatch.setattr(config_model, "sample_integer_power_law", lambda spec, rng, count: next(draws))
+    @staticmethod
+    def _stub_block(monkeypatch, out_rows, in_rows):
+        # the balancer fills one block of out-degree rows, then one of in-degrees
+        blocks = iter([np.array(out_rows, dtype=np.float64), np.array(in_rows, dtype=np.float64)])
+
+        def fill(spec, rng, buf):
+            buf[...] = next(blocks)
+            return buf
+
+        monkeypatch.setattr(config_model, "_pareto_floor", fill)
+
+    def _balance_stubbed(self, monkeypatch, out_row, in_row):
+        # attempt 1 draws the given rows, attempt 2 a balanced row of ones
+        n = len(out_row)
+        self._stub_block(monkeypatch, [out_row, [1] * n], [in_row, [1] * n])
         spec = PowerLawSpec(2.0, 1)
-        got, attempts = dc.balance_iid_sequence(np.array([[1, 0]] * 4), spec, spec, 0, max_attempts=2)
+        return dc.balance_iid_sequence(np.array([[1, 0]] * n), spec, spec, 0, max_attempts=2)
+
+    def test_wrapped_row_sums_are_not_a_hit(self, monkeypatch):
+        # attempt 1's float64 sums both round to 2**53, but it is not balanced
+        got, attempts = self._balance_stubbed(monkeypatch, [2**53, 1], [2**53, 0])
+        assert attempts == 2
+        assert got.tolist() == [[1, 1]] * 2
+
+    def test_wrapped_int64_row_sums_are_not_a_hit(self, monkeypatch):
+        # attempt 1's int64 sums agree (2**64 wraps to 0), but it is not balanced
+        got, attempts = self._balance_stubbed(monkeypatch, [2**62] * 4, [0] * 4)
         assert attempts == 2
         assert got.tolist() == [[1, 1]] * 4
+
+    def test_balanced_row_past_float_precision_is_found(self, monkeypatch):
+        # both exact sums are 2**53 + 2, but the float64 sums differ
+        out_row, in_row = [2**53, 1, 1], [2**53, 2, 0]
+        assert np.sum(np.array(out_row, dtype=np.float64)) != np.sum(np.array(in_row, dtype=np.float64))
+        self._stub_block(monkeypatch, [out_row, [1] * 3], [in_row, [2] * 3])
+        spec = PowerLawSpec(2.0, 1)
+        got, attempts = dc.balance_iid_sequence(np.array([[1, 0]] * 3), spec, spec, 0, max_attempts=2)
+        assert attempts == 1
+        assert got.tolist() == [list(p) for p in zip(out_row, in_row)]
 
     def test_deterministic_mismatch_fails(self):
         # x_min 2 vs 1 with a huge exponent pins draws at their minima

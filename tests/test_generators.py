@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,22 @@ class TestPowerLawSampler:
         sample = float(np.mean(dc.sample_integer_power_law(spec, 77, 100_000)))
         assert abs(sample - oracle) / oracle < 0.05
 
+    @pytest.mark.parametrize("gamma, x_min", [(0.5, 1), (1.0, 1), (1.5, 3), (2.0, 1), (2.5, 2)])
+    def test_matches_inverse_transform(self, gamma, x_min):
+        u = np.random.default_rng(9).random(10_000)
+        want = np.floor(np.minimum(x_min * (1.0 - u) ** (-1.0 / gamma), 2.0**62)).astype(np.int64)
+        got = dc.sample_integer_power_law(PowerLawSpec(gamma, x_min), 9, 10_000)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_infinite_gamma_draws_xmin(self):
+        draws = dc.sample_integer_power_law(PowerLawSpec(math.inf, 3), 5, 1000)
+        assert draws.tolist() == [3] * 1000
+
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            PowerLawSpec(0.0, 1)
+        for gamma in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                PowerLawSpec(gamma, 1)
         with pytest.raises(ValueError):
             PowerLawSpec(2.0, 0)
 

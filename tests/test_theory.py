@@ -23,6 +23,11 @@ class TestScalingExponent:
     def test_heavier_side_wins(self):
         assert theory.scaling_exponent(2, 2, GammaPair(1.5, 4)) == pytest.approx(4 / 3)
 
+    @pytest.mark.parametrize("gammas", [(math.nan, 2.0), (2.0, math.nan), (0.0, 2.0)])
+    def test_non_positive_or_nan_gamma_rejected(self, gammas):
+        with pytest.raises(ValueError):
+            GammaPair(*gammas)
+
 
 class TestLimitExponents:
     def test_in_out_heavy_both(self):
@@ -313,3 +318,22 @@ class TestScalingStudy:
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
             theory.scaling_study(dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [10, 20], [(1, 0)], 3, 0)
+
+    @pytest.mark.parametrize("pq", [(math.nan, 0), (math.inf, 0), (2, -math.inf)])
+    def test_non_finite_moment_orders_rejected(self, pq):
+        with pytest.raises(ValueError, match="finite"):
+            theory.scaling_study(dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [10, 20, 40], [pq], 1, 0)
+
+
+class TestBridgeDistributionStudy:
+    def test_realizations_on_spawned_seeds(self):
+        spec = dc.PowerLawSpec(1.5)
+        got = theory.bridge_distribution_study(50, 2.0, spec, 3, 11)
+        seeds = [int(ss.generate_state(1)[0]) for ss in np.random.SeedSequence(11).spawn(3)]
+        want = [dc.pearson(dc.random_bridge_collection(50, 2.0, spec, s), IN_OUT) for s in seeds]
+        assert got == want
+
+    @pytest.mark.parametrize("reals", [0, -1])
+    def test_needs_one_realization(self, reals):
+        with pytest.raises(ValueError, match="realization"):
+            theory.bridge_distribution_study(50, 1.0, dc.PowerLawSpec(1.5), reals, 0)
