@@ -164,10 +164,8 @@ def randomization_study(
     come out undefined (zero variance on a draw) are excluded from that
     cell's mean and counted in `defined`.
     """
-    if repetitions < 2:
-        raise ValueError("need at least 2 repetitions")
-    if rho_inner < 1:
-        raise ValueError(f"rho_inner must be >= 1, got {rho_inner}")
+    measures._check_repetitions("repetitions", repetitions, 2)
+    measures._check_repetitions("rho_inner", rho_inner, 1)
     if g.edge_count == 0:
         raise EmptyGraphError("cannot randomize an empty graph")
     d = degrees(g)

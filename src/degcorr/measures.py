@@ -20,6 +20,16 @@ from .ranking import average_ranks_doubled, permutation_ranks
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
+# A repetition count is spawned as one list of SeedSequence children, about
+# 370 bytes each, before any work runs, and numpy cannot spawn 2**63 at all.
+# The budget turns a count that cannot be spawned into an input error.
+MAX_REPETITIONS = 2**20
+
+
+def _check_repetitions(what: str, count: int, least: int) -> None:
+    if not least <= count <= MAX_REPETITIONS:
+        raise ValueError(f"{what} must be between {least} and {MAX_REPETITIONS}, got {count}")
+
 
 def _edge_count(g: DirectedGraph) -> int:
     if g.edge_count == 0:
@@ -112,15 +122,37 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
     the source side, child 1 on the target side. That assignment is part of
     the reproducibility contract.
     """
-    return _spearman_uniform_seeded(g, t, np.random.SeedSequence(seed))
+    return _spearman_uniform_seeded(g, t, [np.random.SeedSequence(seed)])[0]
 
 
-def _spearman_uniform_seeded(g: DirectedGraph, t: DependencyType, ss: np.random.SeedSequence) -> float:
+def _dense_codes(values: np.ndarray) -> np.ndarray:
+    """Index of each value among the distinct values, ascending, as int16.
+
+    Ranks depend only on the order of the values, so ranking the codes gives
+    the ranks of the values. A degree series of m edges has at most
+    sqrt(2m) + 1 distinct values (the bound in concordance_counts), fewer
+    than 2^15 for every m <= graph.MAX_EDGES = 2^28. The check keeps a code
+    from ever wrapping.
+    """
+    distinct, codes = np.unique(values, return_inverse=True)
+    if distinct.size >= 2**15:
+        raise ValueError(f"{distinct.size} distinct degrees do not fit int16 codes")
+    return codes.astype(np.int16)
+
+
+def _spearman_uniform_seeded(
+    g: DirectedGraph, t: DependencyType, seeds: list[np.random.SeedSequence]
+) -> list[float]:
+    """spearman_uniform once per seed, on dense codes built once."""
     m, p = _edge_pairs(g, t, "spearman")
-    src_ss, tgt_ss = ss.spawn(2)
-    rx = permutation_ranks(p.x, "uniform_random", np.random.default_rng(src_ss))
-    ry = permutation_ranks(p.y, "uniform_random", np.random.default_rng(tgt_ss))
-    return _rho_from_permutation_ranks(rx, ry, m)
+    cx, cy = _dense_codes(p.x), _dense_codes(p.y)
+    rhos = []
+    for ss in seeds:
+        src_ss, tgt_ss = ss.spawn(2)
+        rx = permutation_ranks(cx, "uniform_random", np.random.default_rng(src_ss))
+        ry = permutation_ranks(cy, "uniform_random", np.random.default_rng(tgt_ss))
+        rhos.append(_rho_from_permutation_ranks(rx, ry, m))
+    return rhos
 
 
 def spearman_ranked(
@@ -144,10 +176,8 @@ def spearman_uniform_mean(
     g: DirectedGraph, t: DependencyType, repetitions: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of spearman_uniform over derived seeds."""
-    if repetitions < 2:
-        raise ValueError("need at least 2 repetitions")
-    children = np.random.SeedSequence(seed).spawn(repetitions)
-    vals = np.array([_spearman_uniform_seeded(g, t, ss) for ss in children])
+    _check_repetitions("repetitions", repetitions, 2)
+    vals = np.array(_spearman_uniform_seeded(g, t, np.random.SeedSequence(seed).spawn(repetitions)))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -246,7 +276,7 @@ def cell_value(
     try:
         if name == "spearman_uniform":
             children = ss.spawn(rho_reps)
-            return float(np.mean([_spearman_uniform_seeded(g, t, c) for c in children])), None
+            return float(np.mean(_spearman_uniform_seeded(g, t, children))), None
         if name == "pearson":
             return pearson(g, t), None
         if name == "spearman_average":

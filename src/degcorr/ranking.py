@@ -15,6 +15,16 @@ Tie policies:
 * ``by_reverse_index``  ties take reversed sequence order.
 
 Every policy preserves the total rank sum n*(n+1)/2.
+
+A permutation policy orders the series by (value, tiebreak) ascending,
+which ``np.lexsort((tiebreak, values))`` states directly. The ranking sorts
+twice instead: an unstable argsort of the tiebreak, then a stable argsort of
+the values taken in that order, so equal values keep their tiebreak order.
+When the values are small integers, such as the int16 dense codes that
+spearman_uniform passes, numpy radix-sorts them in O(n). The two sorts give
+the lexsort order whenever the tiebreaks are distinct. An unstable sort may
+reorder equal tiebreaks, so if the sorted tiebreak has a zero gap the
+ranking falls back to the lexsort itself.
 """
 from __future__ import annotations
 
@@ -42,13 +52,18 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _reflected_permutation_ranks(values: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Descending ranks from a stable ascending sort with an explicit tiebreak."""
+    """Descending ranks from the ascending (value, tiebreak) order."""
     values = np.asarray(values)
     m = values.size
-    order = np.lexsort((tiebreak, values))
-    asc = np.empty(m, dtype=np.int64)
-    asc[order] = np.arange(1, m + 1)
-    return m + 1 - asc
+    o = np.argsort(tiebreak)
+    ordered = tiebreak[o]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.lexsort((tiebreak, values))
+    else:
+        order = o[np.argsort(values[o], kind="stable")]
+    ranks = np.empty(m, dtype=np.int64)
+    ranks[order] = np.arange(m, 0, -1)
+    return ranks
 
 
 def permutation_ranks(

@@ -58,8 +58,7 @@ def compute_report(
     The spearman_uniform cell reports the mean over rho_repetitions
     tie-break instances, each on a seed derived from (seed, type index).
     """
-    if rho_repetitions < 1:
-        raise ValueError(f"rho_repetitions must be >= 1, got {rho_repetitions}")
+    measures._check_repetitions("rho_repetitions", rho_repetitions, 1)
     for what, chosen in (("types", types), ("measures", which)):
         if not chosen or len(set(chosen)) < len(chosen):
             raise ValueError(f"{what} must be a non-empty list without repeats, got {','.join(chosen)!r}")

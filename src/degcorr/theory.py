@@ -17,7 +17,7 @@ import numpy as np
 
 from .generators import PowerLawSpec, iid_degree_sequence, random_bridge_collection
 from .graph import DependencyType
-from .measures import pearson
+from .measures import _check_repetitions, pearson
 
 # ---------------------------------------------------------------------------
 # bridge-family block structure
@@ -371,8 +371,9 @@ def scaling_study(
     sizes = [int(n) for n in sizes]
     if len(set(sizes)) < max(3, len(sizes)):
         raise ValueError("need at least 3 grid sizes, without repeats")
-    if repetitions < 1 or len(set(pq_pairs)) < len(pq_pairs):
-        raise ValueError("need at least 1 repetition and (p, q) pairs without repeats")
+    _check_repetitions("repetitions", repetitions, 1)
+    if len(set(pq_pairs)) < len(pq_pairs):
+        raise ValueError("need (p, q) pairs without repeats")
     if not all(math.isfinite(v) for pq in pq_pairs for v in pq):
         raise ValueError(f"p and q must be finite, got {pq_pairs}")
     gammas = GammaPair(spec_out.gamma, spec_in.gamma)
@@ -413,8 +414,7 @@ def bridge_distribution_study(
     Realization i is random_bridge_collection(n, a, spec, s_i), where s_i is
     the first word of the i-th child spawned from the seed's SeedSequence.
     """
-    if realizations < 1:
-        raise ValueError(f"need at least 1 realization, got {realizations}")
+    _check_repetitions("realizations", realizations, 1)
     values = []
     for ss in np.random.SeedSequence(seed).spawn(realizations):
         g = random_bridge_collection(n, a, spec, int(ss.generate_state(1)[0]))

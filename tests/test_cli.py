@@ -10,6 +10,7 @@ import pytest
 import degcorr as dc
 from degcorr import report as report_mod
 from degcorr.cli import main
+from degcorr.measures import MAX_REPETITIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -344,6 +345,30 @@ class TestStudy:
     def test_unknown_study_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "study", "nope")
         assert code == 2
+
+
+@pytest.mark.parametrize("count", [str(2**63), str(MAX_REPETITIONS + 1)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--rho-reps"],
+        ["randomize", "--reps"],
+        ["randomize", "--rho-reps"],
+        ["study", "scaling", "--n-grid", "10,20,40", "--reps"],
+        ["study", "bridge-distribution", "--n", "10", "--reals"],
+    ],
+    ids=["compute-rho-reps", "randomize-reps", "randomize-rho-reps", "scaling-reps", "bridge-distribution-reals"],
+)
+def test_repetition_count_beyond_budget_exit_2(capsys, cycle_path, argv, count):
+    # numpy cannot spawn 2**63 children; it used to exit 3 with an OverflowError
+    if argv[0] != "study":
+        argv = [argv[0], "--input", cycle_path, *argv[1:]]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, count)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"got {count}" in err
 
 
 def test_unexpected_exception_exit_3(capsys, monkeypatch, bridge_path):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import degcorr as dc
 from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError, _kernels
-from degcorr.measures import cell_value, concordance_counts, pearson_from_pairs, variance_gap
+from degcorr.measures import (
+    MAX_REPETITIONS,
+    _dense_codes,
+    cell_value,
+    concordance_counts,
+    pearson_from_pairs,
+    variance_gap,
+)
 
 from helpers import brute_concordance, brute_pearson, random_multigraph
 
@@ -178,6 +185,36 @@ class TestSpearmanUniform:
         with pytest.raises(ValueError):
             dc.spearman_uniform_mean(g, IN_OUT, 1, 0)
 
+    @pytest.mark.parametrize("reps", [MAX_REPETITIONS + 1, 2**63])
+    def test_mean_refuses_counts_it_cannot_spawn(self, reps):
+        g = dc.bridge_graph(dc.BridgeParams(2, 2))
+        with pytest.raises(ValueError, match="repetitions"):
+            dc.spearman_uniform_mean(g, IN_OUT, reps, 0)
+
+    def test_replays_the_documented_streams(self, corpus):
+        # per repetition child: its child 0 draws the source-side tiebreak,
+        # child 1 the target-side one; ranks from one lexsort on raw degrees
+        def lexsort_ranks(values, draws):
+            ranks = np.empty(values.size, dtype=np.int64)
+            ranks[np.lexsort((draws, values))] = np.arange(values.size, 0, -1)
+            return ranks
+
+        def rho(p, ss):
+            m = len(p)
+            src, tgt = (np.random.default_rng(c).random(m) for c in ss.spawn(2))
+            s = int(lexsort_ranks(p.x, src) @ lexsort_ranks(p.y, tgt))
+            return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
+
+        for g in corpus:
+            for t in dc.ALL_TYPES:
+                p = dc.edge_degree_pairs(g, t)
+                if len(p) < 2:
+                    continue
+                assert dc.spearman_uniform(g, t, 41) == rho(p, np.random.SeedSequence(41))
+                mean = float(np.mean([rho(p, ss) for ss in np.random.SeedSequence(41).spawn(5)]))
+                assert cell_value(g, t, "spearman_uniform", np.random.SeedSequence(41), 5) == (mean, None)
+                assert dc.spearman_uniform_mean(g, t, 5, 41)[0] == mean
+
 
 class TestSpearmanRanked:
     def test_by_index_matches_table_value(self):
@@ -292,6 +329,19 @@ class TestKendall:
                 a, b = np.unique(p.x).size, np.unique(p.y).size
                 assert a * b <= 4 * len(p)
                 concordance_counts(p)
+                # and the dense codes spearman_uniform ranks fit int16
+                for side in (p.x, p.y):
+                    codes = _dense_codes(side)
+                    assert codes.dtype == np.int16
+                    assert codes.tolist() == np.unique(side, return_inverse=True)[1].tolist()
+
+    def test_dense_codes_refuse_what_int16_cannot_hold(self):
+        assert _dense_codes(np.arange(2**15 - 1) * 3).max() == 2**15 - 2
+        # code 2**15 would wrap to -2**15
+        with pytest.raises(ValueError, match="int16"):
+            _dense_codes(np.arange(2**15 + 1) * 3)
+        with pytest.raises(ValueError, match="int16"):
+            _dense_codes(np.arange(2**15))
 
 
 class TestCellValue:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from degcorr.ranking import average_ranks, average_ranks_doubled, permutation_ranks, rank_with_ties
 
@@ -94,3 +95,71 @@ def test_doubled_ranks_match_definition(vals):
         greater = sum(1 for u in vals if u > v)
         ties = sum(1 for u in vals if u == v)
         assert doubled[i] == 2 * greater + ties + 1
+
+
+def lexsort_ranks(values, tiebreak):
+    """Reference: descending ranks from one lexsort by (value, tiebreak)."""
+    m = len(values)
+    asc = np.empty(m, dtype=np.int64)
+    asc[np.lexsort((tiebreak, values))] = np.arange(1, m + 1)
+    return m + 1 - asc
+
+
+class RepeatedDraws:
+    """A uniform_random rng whose draws repeat, so the tiebreak has ties."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, m):
+        assert m == self.draws.size
+        return self.draws.copy()
+
+
+def test_tied_draws_take_the_lexsort(monkeypatch):
+    # 0.5 repeats inside the tie group of 3s, 0.25 across the groups of 1
+    # and 2; an unstable sort of the draws may swap either pair
+    values = np.array([3, 1, 3, 2, 3, 1, 2, 3, 1, 3] * 4)
+    draws = np.array([0.5, 0.25, 0.5, 0.25, 0.75, 0.125, 0.625, 0.5, 0.875, 0.375] * 4)
+    lexsort = np.lexsort
+    calls = []
+
+    def spy(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    got = permutation_ranks(values, "uniform_random", RepeatedDraws(draws))
+    assert calls == [2]
+    monkeypatch.undo()
+    assert got.tolist() == lexsort_ranks(values, draws).tolist()
+    # distinct draws never reach the lexsort
+    monkeypatch.setattr(np, "lexsort", spy)
+    permutation_ranks(values, "uniform_random", RepeatedDraws(np.arange(values.size) / values.size))
+    assert calls == [2]
+
+
+SPECIAL_FLOATS = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.5]
+INT64_EXTREMES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+sizes = st.integers(1, 2000)
+rankable = st.one_of(
+    arrays(np.int64, sizes, elements=st.sampled_from(INT64_EXTREMES)),
+    arrays(np.int64, sizes, elements=st.integers(-(2**63), 2**63 - 1)),
+    arrays(np.int64, sizes, elements=st.integers(0, 3)),
+    arrays(np.int16, sizes, elements=st.integers(0, 40)),
+    arrays(np.float64, sizes, elements=st.sampled_from(SPECIAL_FLOATS)),
+    arrays(np.float64, sizes, elements=st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
+@given(rankable, st.integers(0, 2**32))
+def test_permutation_ranks_match_the_lexsort(values, seed):
+    m = values.size
+    tiebreaks = {
+        "by_index": np.arange(m),
+        "by_reverse_index": -np.arange(m),
+        "uniform_random": np.random.default_rng(seed).random(m),
+    }
+    for policy, tiebreak in tiebreaks.items():
+        got = permutation_ranks(values, policy, np.random.default_rng(seed))
+        assert got.tolist() == lexsort_ranks(values, tiebreak).tolist()
