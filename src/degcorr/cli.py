@@ -105,12 +105,13 @@ def cmd_compute(args) -> int:
 
 def cmd_randomize(args) -> int:
     loaded = load_edge_list(args.input)
+    # distinct stream family so baseline draws never reuse the report's seeds;
+    # the study runs first so that it checks --reps before the report is built
+    study_seed = int(np.random.SeedSequence((args.seed, 1)).generate_state(1)[0])
+    summary = randomization_study(loaded.graph, args.reps, study_seed, rho_inner=args.rho_reps)
     rep = report_mod.compute_report(
         loaded.graph, path=args.input, seed=args.seed, rho_repetitions=args.rho_reps
     )
-    # distinct stream family so baseline draws never reuse the report's seeds
-    study_seed = int(np.random.SeedSequence((args.seed, 1)).generate_state(1)[0])
-    summary = randomization_study(loaded.graph, args.reps, study_seed, rho_inner=args.rho_reps)
     rep = dataclasses.replace(rep, baseline=summary)
     _emit(rep, args.format)
     return EXIT_OK

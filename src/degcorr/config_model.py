@@ -178,8 +178,8 @@ def randomization_study(
         ecm_ss, rho_ss = rep_ss.spawn(2)
         drawn, _ = erased_configuration_model(pairs, np.random.default_rng(ecm_ss))
         for t in ALL_TYPES:
-            for name in measures.MEASURES:
-                value, _ = measures.cell_value(drawn, t, name, rho_ss, rho_inner)
+            row = measures.row_values(drawn, t, measures.MEASURES, rho_ss, rho_inner)
+            for name, (value, _) in zip(measures.MEASURES, row):
                 if value is not None:
                     samples[(t.wire_name, name)].append(value)
 

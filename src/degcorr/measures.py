@@ -1,7 +1,8 @@
 """The four directed degree-degree dependency measures.
 
-Every function takes a graph and a DependencyType and works on the per-edge
-series (source-side degree, target-side degree). All numerators and variance
+Every measure is a function of the per-edge series (source-side degree,
+target-side degree) of one DependencyType; row_values builds it once for a
+whole report row. All numerators and variance
 terms are accumulated in exact integer arithmetic; division happens once at
 the end, so results are deterministic and reproduce closed forms to float
 precision.
@@ -15,7 +16,7 @@ import numpy as np
 from . import _kernels
 from ._exact import exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
-from .graph import DegreeTable, DependencyType, DirectedGraph, PairSeries, degrees, edge_degree_pairs, vertex_moment_sum
+from .graph import DegreeTable, DependencyType, DirectedGraph, PairSeries, edge_degree_pairs, vertex_moment_sum
 from .ranking import average_ranks_doubled, permutation_ranks
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
@@ -31,18 +32,13 @@ def _check_repetitions(what: str, count: int, least: int) -> None:
         raise ValueError(f"{what} must be between {least} and {MAX_REPETITIONS}, got {count}")
 
 
-def _edge_count(g: DirectedGraph) -> int:
-    if g.edge_count == 0:
+def _pair_count(p: PairSeries, least: int, measure: str) -> int:
+    m = len(p)
+    if m == 0:
         raise EmptyGraphError("graph has no edges")
-    return g.edge_count
-
-
-def _edge_pairs(g: DirectedGraph, t: DependencyType, measure: str) -> tuple[int, PairSeries]:
-    """Edge count and pair series of a rank measure, which needs 2 edges."""
-    m = _edge_count(g)
-    if m <= 1:
-        raise DegenerateSizeError(f"{measure} needs at least 2 edges")
-    return m, edge_degree_pairs(g, t)
+    if m < least:
+        raise DegenerateSizeError(f"{measure} needs at least {least} edges")
+    return m
 
 
 def _weighted_moment(d: DegreeTable, weight: str, value: str, k: int) -> int:
@@ -66,36 +62,21 @@ def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
 
 
 def pearson(g: DirectedGraph, t: DependencyType) -> float:
-    """Pearson correlation of the per-edge degree pairs, via vertex sums.
+    """Pearson correlation of the per-edge degree pairs of type t.
 
-    The variance and mean terms reduce to degree-moment sums; only the cross
-    term needs the edge list. Raises ZeroVarianceError when either side of
-    the series is constant (e.g. any directed cycle).
+    Raises ZeroVarianceError when either side of the series is constant
+    (e.g. any directed cycle).
     """
-    m = _edge_count(g)
-    d = degrees(g)
-    gap_src = variance_gap(d, "out", t.source_kind)
-    gap_tgt = variance_gap(d, "in", t.target_kind)
-    if gap_src == 0 or gap_tgt == 0:
-        raise ZeroVarianceError(f"degenerate degree series for {t.wire_name}")
-    x = d.kind(t.source_kind)[g.src]
-    y = d.kind(t.target_kind)[g.tgt]
-    sxy = exact_dot(x, y)
-    s_src = _weighted_moment(d, "out", t.source_kind, 1)
-    s_tgt = _weighted_moment(d, "in", t.target_kind, 1)
-    num = m * sxy - s_src * s_tgt
-    return num / math.sqrt(gap_src * gap_tgt)
+    return pearson_from_pairs(edge_degree_pairs(g, t))
 
 
 def pearson_from_pairs(p: PairSeries) -> float:
-    """Edge-form Pearson, computed directly from the joint series.
+    """Pearson correlation of a pair series, from exact integer sums.
 
-    Independent of the vertex-sum route in pearson(); the two must agree to
-    float precision on every graph where both are defined.
+    On a degree series Σx = Σ_v D+·D^α and m·Σx² − (Σx)² = variance_gap, so
+    the division sees the operands of the vertex form, the tests' oracle.
     """
-    m = len(p)
-    if m == 0:
-        raise EmptyGraphError("empty pair series")
+    m = _pair_count(p, 1, "pearson")
     sx = exact_power_sum(p.x, 1)
     sy = exact_power_sum(p.y, 1)
     sxx = exact_power_sum(p.x, 2)
@@ -122,7 +103,7 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
     the source side, child 1 on the target side. That assignment is part of
     the reproducibility contract.
     """
-    return _spearman_uniform_seeded(g, t, [np.random.SeedSequence(seed)])[0]
+    return _spearman_uniform_seeded(edge_degree_pairs(g, t), [np.random.SeedSequence(seed)])[0]
 
 
 def _dense_codes(values: np.ndarray) -> np.ndarray:
@@ -140,11 +121,9 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     return codes.astype(np.int16)
 
 
-def _spearman_uniform_seeded(
-    g: DirectedGraph, t: DependencyType, seeds: list[np.random.SeedSequence]
-) -> list[float]:
-    """spearman_uniform once per seed, on dense codes built once."""
-    m, p = _edge_pairs(g, t, "spearman")
+def _spearman_uniform_seeded(p: PairSeries, seeds: list[np.random.SeedSequence]) -> list[float]:
+    """spearman_uniform of p once per seed, on dense codes built once."""
+    m = _pair_count(p, 2, "spearman")
     cx, cy = _dense_codes(p.x), _dense_codes(p.y)
     rhos = []
     for ss in seeds:
@@ -166,7 +145,8 @@ def spearman_ranked(
     Exposes how strongly the value of rho under random tie breaking can
     depend on the particular ordering of tied entries.
     """
-    m, p = _edge_pairs(g, t, "spearman")
+    p = edge_degree_pairs(g, t)
+    m = _pair_count(p, 2, "spearman")
     rx = permutation_ranks(p.x, source_policy)
     ry = permutation_ranks(p.y, target_policy)
     return _rho_from_permutation_ranks(rx, ry, m)
@@ -177,7 +157,7 @@ def spearman_uniform_mean(
 ) -> tuple[float, float]:
     """Sample mean and standard error of spearman_uniform over derived seeds."""
     _check_repetitions("repetitions", repetitions, 2)
-    vals = np.array(_spearman_uniform_seeded(g, t, np.random.SeedSequence(seed).spawn(repetitions)))
+    vals = np.array(_spearman_uniform_seeded(edge_degree_pairs(g, t), np.random.SeedSequence(seed).spawn(repetitions)))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -189,14 +169,18 @@ def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
     Works on doubled ranks so every sum is an exact integer; a single float
     division produces the result.
     """
-    m, p = _edge_pairs(g, t, "spearman")
+    return _spearman_average(edge_degree_pairs(g, t))
+
+
+def _spearman_average(p: PairSeries) -> float:
+    m = _pair_count(p, 2, "spearman")
     u = average_ranks_doubled(p.x)
     v = average_ranks_doubled(p.y)
     shift = m * (m + 1) ** 2
     sx2 = exact_power_sum(u, 2) - shift
     sy2 = exact_power_sum(v, 2) - shift
     if sx2 == 0 or sy2 == 0:
-        raise ZeroVarianceError(f"all ranks tied on one side for {t.wire_name}")
+        raise ZeroVarianceError("all ranks tied on one side")
     num = exact_dot(u, v) - shift
     return num / math.sqrt(sx2 * sy2)
 
@@ -258,33 +242,44 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    m, p = _edge_pairs(g, t, "kendall")
+    return _kendall_tau(edge_degree_pairs(g, t))
+
+
+def _kendall_tau(p: PairSeries) -> float:
+    m = _pair_count(p, 2, "kendall")
     nc, nd = concordance_counts(p)
     return 2 * (nc - nd) / (m * (m - 1))
 
 
-def cell_value(
-    g: DirectedGraph, t: DependencyType, name: str, ss: np.random.SeedSequence, rho_reps: int
-) -> tuple[float | None, str | None]:
-    """One report cell: (value, None), or (None, reason) when undefined.
+def row_values(
+    g: DirectedGraph, t: DependencyType, names: tuple[str, ...], ss: np.random.SeedSequence, rho_reps: int
+) -> list[tuple[float | None, str | None]]:
+    """One report row: per name in order, (value, None), or (None, reason).
 
+    The edge series of (g, t) is built once and every measure reads it.
     reason is "zero_variance" or "degenerate_size". spearman_uniform is the
     mean over rho_reps tie-break instances on children of ss. They are
     spawned before anything can raise, so the streams of later cells that
     share ss do not depend on whether this one is defined.
     """
-    try:
-        if name == "spearman_uniform":
-            children = ss.spawn(rho_reps)
-            return float(np.mean(_spearman_uniform_seeded(g, t, children))), None
-        if name == "pearson":
-            return pearson(g, t), None
-        if name == "spearman_average":
-            return spearman_average(g, t), None
-        if name == "kendall":
-            return kendall_tau(g, t), None
-    except ZeroVarianceError:
-        return None, "zero_variance"
-    except (EmptyGraphError, DegenerateSizeError):
-        return None, "degenerate_size"
-    raise ValueError(f"unknown measure {name!r}")
+    p = edge_degree_pairs(g, t)
+    row = []
+    for name in names:
+        # an if-chain, not a dict built at import, so rebound attributes see every call
+        try:
+            if name == "spearman_uniform":
+                children = ss.spawn(rho_reps)
+                row.append((float(np.mean(_spearman_uniform_seeded(p, children))), None))
+            elif name == "pearson":
+                row.append((pearson_from_pairs(p), None))
+            elif name == "spearman_average":
+                row.append((_spearman_average(p), None))
+            elif name == "kendall":
+                row.append((_kendall_tau(p), None))
+            else:
+                raise ValueError(f"unknown measure {name!r}")
+        except ZeroVarianceError:
+            row.append((None, "zero_variance"))
+        except (EmptyGraphError, DegenerateSizeError):
+            row.append((None, "degenerate_size"))
+    return row

@@ -67,8 +67,8 @@ def compute_report(
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))
     for tname in types:
         t = DependencyType.from_wire(tname)
-        for mname in which:
-            value, reason = measures.cell_value(g, t, mname, type_seeds[tname], rho_repetitions)
+        row = measures.row_values(g, t, which, type_seeds[tname], rho_repetitions)
+        for mname, (value, reason) in zip(which, row):
             cells[(tname, mname)] = Cell(value, reason)
     return CorrelationReport(
         path=path,

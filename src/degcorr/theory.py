@@ -393,6 +393,8 @@ def scaling_study(
     logn = np.log(np.asarray(sizes, dtype=np.float64))
     rows = []
     for (p, q), med in medians.items():
+        if not all(0 < v < math.inf for v in med):  # the regression takes logarithms
+            raise ValueError(f"median moment sums of (p, q) = ({p}, {q}) must be finite positive, got {med}")
         slope = float(np.polyfit(logn, np.log(np.asarray(med)), 1)[0])
         rows.append(
             ScalingRow(

@@ -6,6 +6,7 @@ fast implementations are checked against independent arithmetic.
 import math
 
 import degcorr as dc
+from degcorr.measures import variance_gap
 
 
 def brute_pearson(pairs):
@@ -18,6 +19,28 @@ def brute_pearson(pairs):
     vx = m * sxx - sx * sx
     vy = m * syy - sy * sy
     return (m * sxy - sx * sy) / math.sqrt(vx * vy)
+
+
+def vertex_pearson(g, t):
+    """Pearson from the vertex identities, or None where it is undefined.
+
+    With D+ weighting the source side and D- the target side, every term but
+    the cross term is a vertex-moment sum: Σx = Σ_v D+·D^α, the variance gap
+    m·Σx² − (Σx)² is variance_gap(d, "out", α), and likewise for y. The cross
+    term is a Python-int sum over the edges.
+    """
+    d = dc.degrees(g)
+    gap_src = variance_gap(d, "out", t.source_kind)
+    gap_tgt = variance_gap(d, "in", t.target_kind)
+    if g.edge_count == 0 or gap_src == 0 or gap_tgt == 0:
+        return None
+    moment = {("out", "out"): (2, 0), ("out", "in"): (1, 1), ("in", "out"): (1, 1), ("in", "in"): (0, 2)}
+    s_src = dc.vertex_moment_sum(d, *moment[("out", t.source_kind)])
+    s_tgt = dc.vertex_moment_sum(d, *moment[("in", t.target_kind)])
+    dx = d.kind(t.source_kind).tolist()
+    dy = d.kind(t.target_kind).tolist()
+    sxy = sum(dx[u] * dy[v] for u, v in zip(g.src.tolist(), g.tgt.tolist()))
+    return (g.edge_count * sxy - s_src * s_tgt) / math.sqrt(gap_src * gap_tgt)
 
 
 def brute_concordance(pairs):

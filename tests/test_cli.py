@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import time
 import warnings
 from pathlib import Path
@@ -369,6 +370,83 @@ def test_repetition_count_beyond_budget_exit_2(capsys, cycle_path, argv, count):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and f"got {count}" in err
+
+
+def test_randomize_checks_reps_before_the_report(capsys, monkeypatch, bridge_path):
+    def broken(*args, **kwargs):
+        raise RuntimeError("the report was built before --reps was checked")
+
+    monkeypatch.setattr(report_mod, "compute_report", broken)
+    code, out, err = run_cli(capsys, "randomize", "--input", bridge_path, "--reps", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "got 1" in err
+
+
+# Every numeric flag of every subcommand, each run with small values for the
+# other flags. A list flag carries the value inside an otherwise valid list.
+SWEEP_COMMANDS = {
+    "compute": (["compute", "--input", "{input}"], ["--seed", "--rho-reps"]),
+    "randomize": (
+        ["randomize", "--input", "{input}", "--reps", "2", "--rho-reps", "1"],
+        ["--reps", "--rho-reps", "--seed"],
+    ),
+    "bridge": (["generate", "bridge", "--k", "2", "--m", "3", "--out", "{out}"], ["--k", "--m"]),
+    "bridge-disconnected": (
+        ["generate", "bridge-disconnected", "--k", "2", "--m", "3", "--out", "{out}"],
+        ["--k", "--m"],
+    ),
+    "bridge-collection": (
+        ["generate", "bridge-collection", "--n", "20", "--out", "{out}"],
+        ["--n", "--a", "--gamma", "--xmin", "--seed"],
+    ),
+    "iid-cm": (
+        ["generate", "iid-cm", "--n", "20", "--out", "{out}"],
+        ["--n", "--gamma-out", "--gamma-in", "--xmin", "--max-attempts", "--seed"],
+    ),
+    "scaling": (
+        ["study", "scaling", "--n-grid", "10,20,40", "--reps", "1"],
+        ["--n-grid", "--pq", "--gamma", "--gamma-out", "--gamma-in", "--xmin", "--reps", "--seed"],
+    ),
+    "bridge-convergence": (["study", "bridge-convergence", "--n-grid", "2,3"], ["--n-grid", "--a"]),
+    "bridge-distribution": (
+        ["study", "bridge-distribution", "--n", "10", "--reals", "2"],
+        ["--n", "--a", "--gamma", "--xmin", "--reals", "--seed"],
+    ),
+}
+SWEEP_LISTS = {"--n-grid": "10,20,{}", "--pq": "{0},{0}"}
+SWEEP_VALUES = ["-1", "0", "nan", "inf", "1e300", str(2**63)]
+
+
+@pytest.fixture(scope="module")
+def sweep_input(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "bridge.txt"
+    dc.write_edge_list(dc.bridge_graph(dc.BridgeParams(2, 3)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES)
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, (_, flags) in SWEEP_COMMANDS.items() for f in flags]
+)
+def test_numeric_flag_sweep(capsys, tmp_path, sweep_input, command, flag, value):
+    base, _ = SWEEP_COMMANDS[command]
+    out_path = tmp_path / "out.txt"
+    argv = [a.format(input=sweep_input, out=out_path) for a in base]
+    argv.append(f"{flag}={SWEEP_LISTS.get(flag, '{}').format(value)}")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2), err
+    assert not re.search("nan|inf", out.replace(sweep_input, ""), re.IGNORECASE)
+    if code == 2:
+        assert out == ""
+        assert not out_path.exists()
+    lines = err.splitlines()
+    if err.startswith("usage:"):  # argparse rejected the value itself
+        assert code == 2 and re.match(r"degcorr \S+: error: argument ", lines[-1]), err
+    else:
+        assert all(line.startswith(("error:", "warning:")) for line in lines), err
 
 
 def test_unexpected_exception_exit_3(capsys, monkeypatch, bridge_path):

@@ -7,17 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degcorr as dc
-from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError, _kernels
+from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError, _kernels, measures
 from degcorr.measures import (
     MAX_REPETITIONS,
+    MEASURES,
     _dense_codes,
-    cell_value,
     concordance_counts,
-    pearson_from_pairs,
+    row_values,
     variance_gap,
 )
+from degcorr.report import compute_report
 
-from helpers import brute_concordance, brute_pearson, random_multigraph
+from helpers import brute_concordance, brute_pearson, random_multigraph, vertex_pearson
 
 IN_OUT = dc.DependencyType.IN_OUT
 
@@ -55,14 +56,10 @@ class TestPearson:
             dc.pearson(g, IN_OUT)
 
     def test_vertex_and_edge_forms_agree(self, corpus):
+        # the edge sums are the vertex-moment sums, so the bits agree
         for g in corpus:
             for t in dc.ALL_TYPES:
-                v = measure_defined(dc.pearson, g, t)
-                e = measure_defined(pearson_from_pairs, dc.edge_degree_pairs(g, t))
-                if v is None:
-                    assert e is None
-                else:
-                    assert abs(v - e) < 1e-12
+                assert measure_defined(dc.pearson, g, t) == vertex_pearson(g, t)
 
     def test_matches_brute_force(self, corpus):
         for g in corpus:
@@ -212,7 +209,8 @@ class TestSpearmanUniform:
                     continue
                 assert dc.spearman_uniform(g, t, 41) == rho(p, np.random.SeedSequence(41))
                 mean = float(np.mean([rho(p, ss) for ss in np.random.SeedSequence(41).spawn(5)]))
-                assert cell_value(g, t, "spearman_uniform", np.random.SeedSequence(41), 5) == (mean, None)
+                row = row_values(g, t, MEASURES, np.random.SeedSequence(41), 5)
+                assert row[MEASURES.index("spearman_uniform")] == (mean, None)
                 assert dc.spearman_uniform_mean(g, t, 5, 41)[0] == mean
 
 
@@ -348,19 +346,42 @@ class TestCellValue:
     def test_values_and_reasons(self):
         cycle = dc.DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
         one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
+        empty = dc.DirectedGraph.from_edges(2, [])
         ss = np.random.SeedSequence(0)
-        assert cell_value(cycle, IN_OUT, "pearson", ss, 3) == (None, "zero_variance")
-        assert cell_value(cycle, IN_OUT, "kendall", ss, 3) == (0.0, None)
-        assert cell_value(one_edge, IN_OUT, "spearman_average", ss, 3) == (None, "degenerate_size")
+        assert row_values(cycle, IN_OUT, ("pearson", "kendall"), ss, 3) == [(None, "zero_variance"), (0.0, None)]
+        assert row_values(one_edge, IN_OUT, ("spearman_average",), ss, 3) == [(None, "degenerate_size")]
+        assert row_values(one_edge, IN_OUT, ("kendall", "pearson"), ss, 3) == [
+            (None, "degenerate_size"),
+            (None, "zero_variance"),
+        ]
+        assert row_values(empty, IN_OUT, MEASURES, ss, 3) == [(None, "degenerate_size")] * 4
         with pytest.raises(ValueError, match="unknown measure"):
-            cell_value(cycle, IN_OUT, "nope", ss, 3)
+            row_values(cycle, IN_OUT, ("nope",), ss, 3)
 
     def test_spearman_uniform_spawns_even_when_undefined(self):
         # later cells sharing the stream must not shift with definedness
         ss = np.random.SeedSequence(5)
         one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
-        assert cell_value(one_edge, IN_OUT, "spearman_uniform", ss, 4) == (None, "degenerate_size")
+        assert row_values(one_edge, IN_OUT, ("spearman_uniform",), ss, 4) == [(None, "degenerate_size")]
         assert ss.n_children_spawned == 4
+
+    def test_one_series_per_row(self, monkeypatch):
+        calls = []
+
+        def spy(g, t):
+            calls.append(t)
+            return dc.edge_degree_pairs(g, t)
+
+        monkeypatch.setattr(measures, "edge_degree_pairs", spy)
+        g = dc.bridge_graph(dc.BridgeParams(3, 4))
+        compute_report(g, "g")
+        assert calls == list(dc.ALL_TYPES)
+        calls.clear()
+        compute_report(g, "g", types=("out_out",))
+        assert calls == [dc.DependencyType.OUT_OUT]
+        calls.clear()
+        dc.randomization_study(g, 3, 0)
+        assert calls == list(dc.ALL_TYPES) * 3
 
 
 class TestInvariants:

@@ -324,6 +324,14 @@ class TestScalingStudy:
         with pytest.raises(ValueError, match="finite"):
             theory.scaling_study(dc.PowerLawSpec(2.0), dc.PowerLawSpec(2.0), [10, 20, 40], [pq], 1, 0)
 
+    # x**1e300 overflows for every degree above 1; x**-1e300 is 0 for all of them
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("pq, xmin", [((1e300, 0), 1), ((-1e300, 0), 2)])
+    def test_moment_sums_outside_the_log_domain_rejected(self, pq, xmin):
+        spec = dc.PowerLawSpec(2.0, xmin)
+        with pytest.raises(ValueError, match="must be finite positive"):
+            theory.scaling_study(spec, spec, [10, 20, 40], [pq], 1, 0)
+
 
 class TestBridgeDistributionStudy:
     def test_realizations_on_spawned_seeds(self):
