@@ -6,7 +6,6 @@ downstream formula; only the configuration model enforces simplicity.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -197,10 +196,11 @@ Source = Union[str, Path, bytes, IO[bytes], IO[str]]
 def load_edge_list(source: Source) -> LoadResult:
     """Parse whitespace-separated "src dst" lines into a graph.
 
-    Lines starting with '#' and blank lines are ignored; edge lines are
-    ASCII. External ids (decimal integers from 0 to 2**63-1, no '+' or '_')
-    are remapped to dense internal ids in first-appearance order. The edge
-    multiset is preserved in file order; empty input yields a zero-edge graph.
+    Lines end at \\n, \\r\\n or \\r. Lines starting with '#' and blank lines
+    are ignored; edge lines are ASCII. External ids (decimal integers from 0
+    to 2**63-1, no '+' or '_') are remapped to dense internal ids in
+    first-appearance order. The edge multiset is preserved in file order;
+    empty input yields a zero-edge graph.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -211,18 +211,94 @@ def load_edge_list(source: Source) -> LoadResult:
         data = source.read()
         if isinstance(data, str):
             data = data.encode("utf-8")
+    loaded = _parse_fast(data)
+    return loaded if loaded is not None else _parse_lines(data)
 
+
+# Longest id the fast path reads: every 18-digit number is below 2**63, and
+# np.fromstring clamps larger ones to 2**63-1 without a word.
+_FAST_MAX_DIGITS = 18
+
+
+def _parse_fast(data: bytes) -> LoadResult | None:
+    """_parse_lines(data) in a few numpy passes, or None if it cannot prove
+    that data is well-formed.
+
+    It proves it when every byte is a digit, space, tab, CR or LF, every
+    line holds zero or two ids and no id has more than 18 digits. Anything
+    else, '#' comments included, is left to _parse_lines, which keeps every
+    error message and line number. Its temporaries hold a bool per input
+    byte, or an int64 per id or per line break.
+    """
+    if data.translate(None, b"0123456789 \t\r\n"):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    digit = np.zeros(buf.size + 2, dtype=bool)
+    np.greater_equal(buf, ord("0"), out=digit[1:-1])
+    # even entries start a maximal run of digits (an id), odd entries end one
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    ids_count = bounds.size // 2
+    if ids_count == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return LoadResult(DirectedGraph(0, empty, empty), empty)
+    id_starts = bounds[0::2]
+    if int(np.max(bounds[1::2] - id_starts)) > _FAST_MAX_DIGITS:
+        return None
+    line_break = buf == ord("\n")
+    line_break |= buf == ord("\r")
+    # ids that start before each CR or LF; every line holds 0 or 2 of them
+    per_line = np.diff(
+        np.searchsorted(id_starts, np.flatnonzero(line_break)), prepend=0, append=ids_count
+    )
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    del bounds, id_starts, line_break, per_line
+
+    ids = np.fromstring(data, dtype=np.int64, count=ids_count, sep=" ")
+    # first-appearance remap: sort, mark where the value changes, and take
+    # each value's smallest position (the sort is not stable)
+    order = np.argsort(ids)
+    ids = ids[order]
+    new_value = np.empty(ids_count, dtype=bool)
+    new_value[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new_value[1:])
+    runs = np.flatnonzero(new_value)
+    first = np.minimum.reduceat(order, runs)
+    # a value's dense id counts the values that appear before it
+    is_first = np.zeros(ids_count, dtype=bool)
+    is_first[first] = True
+    dense_of_value = np.cumsum(is_first)[first]
+    dense_of_value -= 1
+    external = np.empty(runs.size, dtype=np.int64)
+    external[dense_of_value] = ids[runs]
+    del ids, runs, first, is_first
+    value = np.cumsum(new_value)
+    value -= 1
+    dense = np.empty(ids_count, dtype=np.int64)
+    dense[order] = dense_of_value[value]
+    return LoadResult(DirectedGraph(external.size, dense[0::2], dense[1::2]), external)
+
+
+def _split_lines(text: str) -> list[str]:
+    """text broken at \\n, \\r\\n and \\r only (str.splitlines also breaks
+    at \\x0b, \\x0c, \\x1c-\\x1e, U+0085, U+2028 and U+2029)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _parse_lines(data: bytes) -> LoadResult:
+    """load_edge_list one line at a time: the reference for every input and
+    the only path that reports an error."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # number the bad byte's line as the loop below numbers lines
-        line_no = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        line_no = len(_split_lines(data[: exc.start].decode("utf-8")))
         raise EdgeListFormatError(line_no, f"not UTF-8: {exc.reason} (byte {data[exc.start]:#04x})") from None
 
     id_map: dict[int, int] = {}
     srcs: list[int] = []
     tgts: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(_split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -254,21 +330,30 @@ def load_edge_list(source: Source) -> LoadResult:
     return LoadResult(graph, external)
 
 
+# Edges per formatting call in write_edge_list. Each chunk holds about
+# 0.3 MB of Python ints, so writing takes constant memory.
+_WRITE_CHUNK = 2**12
+_WRITE_FORMAT = "%d %d\n" * _WRITE_CHUNK
+
+
 def write_edge_list(g: DirectedGraph, destination: Union[str, Path, IO[str]]) -> None:
     """Serialize as one "src dst" line per edge, in edge order.
 
     The format cannot represent isolated nodes; graphs produced by the
     generators never have any.
     """
-    buf = io.StringIO()
-    for s, t in zip(g.src.tolist(), g.tgt.tolist()):
-        buf.write(f"{s} {t}\n")
-    text = buf.getvalue()
     if isinstance(destination, (str, Path)):
         with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_lines(g, fh)
     else:
-        destination.write(text)
+        _write_lines(g, destination)
+
+
+def _write_lines(g: DirectedGraph, out: IO[str]) -> None:
+    for lo in range(0, g.edge_count, _WRITE_CHUNK):
+        hi = min(lo + _WRITE_CHUNK, g.edge_count)
+        fmt = _WRITE_FORMAT if hi - lo == _WRITE_CHUNK else "%d %d\n" * (hi - lo)
+        out.write(fmt % tuple(np.column_stack((g.src[lo:hi], g.tgt[lo:hi])).ravel().tolist()))
 
 
 def degrees(g: DirectedGraph) -> DegreeTable:

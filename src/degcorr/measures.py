@@ -107,7 +107,8 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
 
 
 def _dense_codes(values: np.ndarray) -> np.ndarray:
-    """Index of each value among the distinct values, ascending, as int16.
+    """Index of each non-negative value among the distinct values, ascending,
+    as int16.
 
     Ranks depend only on the order of the values, so ranking the codes gives
     the ranks of the values. A degree series of m edges has at most
@@ -115,10 +116,11 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     than 2^15 for every m <= graph.MAX_EDGES = 2^28. The check keeps a code
     from ever wrapping.
     """
-    distinct, codes = np.unique(values, return_inverse=True)
-    if distinct.size >= 2**15:
-        raise ValueError(f"{distinct.size} distinct degrees do not fit int16 codes")
-    return codes.astype(np.int16)
+    code_of = np.cumsum(np.bincount(values) > 0) - 1
+    distinct = int(code_of[-1]) + 1 if code_of.size else 0
+    if distinct >= 2**15:
+        raise ValueError(f"{distinct} distinct degrees do not fit int16 codes")
+    return code_of[values].astype(np.int16)
 
 
 def _spearman_uniform_seeded(p: PairSeries, seeds: list[np.random.SeedSequence]) -> list[float]:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import degcorr as dc
 from degcorr import EdgeListFormatError
-from degcorr.graph import vertex_moment_sum
+from degcorr.graph import _WRITE_CHUNK, _parse_fast, _parse_lines, vertex_moment_sum
 
 
 class TestLoadEdgeList:
@@ -103,6 +104,124 @@ class TestLoadEdgeList:
             (lr.external_id(s), lr.external_id(t)) for s, t in lr.graph.edges
         ]
         assert mapped == g.edges
+
+    @pytest.mark.parametrize(
+        "data, edges",
+        [
+            (b"# caf\xc3\xa9 \xe2\x80\xa8 note\n0 1\n", [(0, 1)]),  # U+2028 in a comment
+            (b"# page\x0cbreak\n0 1\n", [(0, 1)]),  # form feed in a comment
+            (b"0 1\r2 3\r\n4 5\n", [(0, 1), (2, 3), (4, 5)]),
+        ],
+    )
+    def test_lines_break_only_at_cr_and_lf(self, data, edges):
+        assert dc.load_edge_list(data).graph.edges == edges
+
+    @pytest.mark.parametrize(
+        "data, line, message",
+        [
+            (b"0 1\x0c2 3\n", 1, "expected two fields, got 4"),
+            (b"# a\x0bb\x1cc\n0 1\nnope\n", 3, "expected two fields, got 1"),
+            (b"# \xc2\x85 \xe2\x80\xa9\n0 1\n4 \xff\n", 3, "not UTF-8"),
+        ],
+    )
+    def test_other_breaks_leave_line_numbers_alone(self, data, line, message):
+        with pytest.raises(EdgeListFormatError, match=message) as exc:
+            dc.load_edge_list(data)
+        assert exc.value.line_number == line
+
+
+def _load_outcome(load, data):
+    """(graph, external-id dtype, external ids) or (message, line number)
+    of one parse."""
+    try:
+        lr = load(data)
+    except EdgeListFormatError as exc:
+        return str(exc), exc.line_number
+    return lr.graph, lr.external_ids.dtype, lr.external_ids.tolist()
+
+
+_blank = st.text(" \t", max_size=2)
+_space = st.text(" \t", min_size=1, max_size=2)
+_id = st.builds(lambda v, zeros: "0" * zeros + str(v), st.integers(0, 10**18 - 1), st.integers(0, 2))
+_edge_line = st.builds(lambda a, s, d, b, c: a + s + b + d + c, _blank, _id, _id, _space, _blank)
+
+
+@given(
+    lines=st.lists(st.tuples(st.one_of(_blank, _edge_line), st.sampled_from(["\n", "\r\n", "\r"]))),
+    final_break=st.booleans(),
+)
+def test_fast_path_matches_line_loop(lines, final_break):
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_break:
+        text = text[: -len(lines[-1][1])]
+    data = text.encode()
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
+    # the fast path takes every such file whose ids have at most 18 digits
+    if all(len(token) <= 18 for token in data.split()):
+        assert _parse_fast(data) is not None
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"0 1\n9223372036854775808 2\n",  # np.fromstring would clamp it to 2**63-1
+        b"0 1\n1 2 3\n",
+        b"0 1 2\n3\n",  # an even number of ids, but not two per line
+        b"0\n1\n",
+        b"0 1\n2",
+        b"0 1\n-1 2\n",
+        b"+1 2\n",
+        b"1_0 2\n",
+        b"0 1\n0000000000000000012 3\n",  # 19 digits, value 12
+        b"# c\n0 1\n",
+    ],
+)
+def test_fast_path_leaves_what_it_cannot_prove_to_the_loop(data):
+    assert _parse_fast(data) is None
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
+
+
+class TestWriteEdgeList:
+    @pytest.mark.parametrize("m", [0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
+    def test_bytes_match_one_line_per_edge(self, m, tmp_path):
+        big = 2**63 - 1
+        src = np.arange(m, dtype=np.int64) * 7919 % (m + 1)
+        tgt = np.full(m, big, dtype=np.int64)
+        g = dc.DirectedGraph(big + 1, src, tgt)
+        expected = "".join(f"{s} {t}\n" for s, t in zip(src.tolist(), tgt.tolist()))
+        buf = io.StringIO()
+        dc.write_edge_list(g, buf)
+        assert buf.getvalue() == expected
+        path = tmp_path / "g.txt"
+        dc.write_edge_list(g, path)
+        assert path.read_bytes() == expected.encode()
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), peak bytes that tracemalloc saw during the call)"""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_edge_list_io_memory(tmp_path):
+    rng = np.random.default_rng(5)
+    m = 100_000
+    g = dc.DirectedGraph(10**6, rng.integers(0, 10**6, m), rng.integers(0, 10**6, m))
+    path = tmp_path / "g.txt"
+    # no temporary the size of the output, let alone one per edge
+    assert _traced_peak(dc.write_edge_list, g, path)[1] < 2 * 2**20
+    data = path.read_bytes()
+    fast, fast_peak = _traced_peak(_parse_fast, data)
+    loop, loop_peak = _traced_peak(_parse_lines, data)
+    # no int64 temporary per input byte: the fast path needs no more than the loop
+    assert fast_peak <= loop_peak
+    # and at this size the unstable sort mixes the positions of repeated ids
+    assert fast.graph == loop.graph
+    assert fast.external_ids.tolist() == loop.external_ids.tolist()
 
 
 class TestDegrees:
