@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ranking import _codes_and_counts
+
 BACKEND = "python"
 
 
@@ -20,7 +22,7 @@ def count_strict_inversions(values) -> int:
     the larger keys of its own left block with two searchsorted calls, and
     one sort of the keys merges every pair of blocks. Keys stay below n^2.
     """
-    _, r = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+    r, _ = _codes_and_counts(np.asarray(values, dtype=np.int64))
     n = r.size
     pos = np.arange(n)
     total = 0

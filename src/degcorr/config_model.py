@@ -177,8 +177,9 @@ def randomization_study(
     for rep_ss in np.random.SeedSequence(seed).spawn(repetitions):
         ecm_ss, rho_ss = rep_ss.spawn(2)
         drawn, _ = erased_configuration_model(pairs, np.random.default_rng(ecm_ss))
+        drawn_degrees = degrees(drawn)
         for t in ALL_TYPES:
-            row = measures.row_values(drawn, t, measures.MEASURES, rho_ss, rho_inner)
+            row = measures.row_values(drawn, t, measures.MEASURES, rho_ss, rho_inner, drawn_degrees)
             for name, (value, _) in zip(measures.MEASURES, row):
                 if value is not None:
                     samples[(t.wire_name, name)].append(value)

@@ -358,14 +358,19 @@ def _write_lines(g: DirectedGraph, out: IO[str]) -> None:
 
 def degrees(g: DirectedGraph) -> DegreeTable:
     """Count out/in degrees of every node."""
-    out = np.bincount(g.src, minlength=g.node_count).astype(np.int64)
-    inn = np.bincount(g.tgt, minlength=g.node_count).astype(np.int64)
+    out = np.bincount(g.src, minlength=g.node_count).astype(np.int64, copy=False)
+    inn = np.bincount(g.tgt, minlength=g.node_count).astype(np.int64, copy=False)
     return DegreeTable(out, inn)
 
 
-def edge_degree_pairs(g: DirectedGraph, t: DependencyType) -> PairSeries:
-    """Per-edge (source-side degree, target-side degree) series for a type."""
-    d = degrees(g)
+def edge_degree_pairs(g: DirectedGraph, t: DependencyType, d: DegreeTable | None = None) -> PairSeries:
+    """Per-edge (source-side degree, target-side degree) series for a type.
+
+    d is g's DegreeTable; a caller that builds several series of one graph
+    passes it, and without it the table is built here.
+    """
+    if d is None:
+        d = degrees(g)
     x = d.kind(t.source_kind)[g.src]
     y = d.kind(t.target_kind)[g.tgt]
     return PairSeries(x, y)

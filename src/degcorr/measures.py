@@ -1,11 +1,27 @@
 """The four directed degree-degree dependency measures.
 
 Every measure is a function of the per-edge series (source-side degree,
-target-side degree) of one DependencyType; row_values builds it once for a
-whole report row. All numerators and variance
-terms are accumulated in exact integer arithmetic; division happens once at
-the end, so results are deterministic and reproduce closed forms to float
-precision.
+target-side degree) of one DependencyType. A report builds its inputs in
+layers:
+
+* once per graph, the DegreeTable (compute_report and randomization_study
+  pass it to row_values, so every type reuses one graph.degrees call);
+* once per row (graph and type), the edge series, and for each side its
+  dense codes (each degree's index among the side's distinct degrees,
+  ascending) with the count of every distinct degree, by one bincount.
+
+Each measure of the row reads these:
+
+* pearson takes exact sums over the edge series itself;
+* spearman_uniform ranks the codes, as int16, once per tie-break seed;
+* spearman_average gathers the doubled average ranks per distinct degree,
+  computed from the counts, back by code and takes exact sums of them;
+* kendall counts concordant and discordant pairs on the joint table
+  bincount(code_x * b + code_y), b being the number of distinct y values.
+
+All numerators and variance terms are accumulated in exact integer
+arithmetic; division happens once at the end, so results are deterministic
+and reproduce closed forms to float precision.
 """
 from __future__ import annotations
 
@@ -17,7 +33,7 @@ from . import _kernels
 from ._exact import exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import DegreeTable, DependencyType, DirectedGraph, PairSeries, edge_degree_pairs, vertex_moment_sum
-from .ranking import average_ranks_doubled, permutation_ranks
+from .ranking import _codes_and_counts, _doubled_ranks, average_ranks_doubled, permutation_ranks
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
@@ -32,8 +48,11 @@ def _check_repetitions(what: str, count: int, least: int) -> None:
         raise ValueError(f"{what} must be between {least} and {MAX_REPETITIONS}, got {count}")
 
 
-def _pair_count(p: PairSeries, least: int, measure: str) -> int:
-    m = len(p)
+# One side of a pair series: its dense codes and the count of each code.
+Side = tuple[np.ndarray, np.ndarray]
+
+
+def _pair_count(m: int, least: int, measure: str) -> int:
     if m == 0:
         raise EmptyGraphError("graph has no edges")
     if m < least:
@@ -76,7 +95,7 @@ def pearson_from_pairs(p: PairSeries) -> float:
     On a degree series Σx = Σ_v D+·D^α and m·Σx² − (Σx)² = variance_gap, so
     the division sees the operands of the vertex form, the tests' oracle.
     """
-    m = _pair_count(p, 1, "pearson")
+    m = _pair_count(len(p), 1, "pearson")
     sx = exact_power_sum(p.x, 1)
     sy = exact_power_sum(p.y, 1)
     sxx = exact_power_sum(p.x, 2)
@@ -103,12 +122,15 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
     the source side, child 1 on the target side. That assignment is part of
     the reproducibility contract.
     """
-    return _spearman_uniform_seeded(edge_degree_pairs(g, t), [np.random.SeedSequence(seed)])[0]
+    return _spearman_uniform_seeded(*_sides(edge_degree_pairs(g, t)), [np.random.SeedSequence(seed)])[0]
+
+
+def _sides(p: PairSeries) -> tuple[Side, Side]:
+    return _codes_and_counts(p.x), _codes_and_counts(p.y)
 
 
 def _dense_codes(values: np.ndarray) -> np.ndarray:
-    """Index of each non-negative value among the distinct values, ascending,
-    as int16.
+    """Index of each value among the distinct values, ascending, as int16.
 
     Ranks depend only on the order of the values, so ranking the codes gives
     the ranks of the values. A degree series of m edges has at most
@@ -116,17 +138,20 @@ def _dense_codes(values: np.ndarray) -> np.ndarray:
     than 2^15 for every m <= graph.MAX_EDGES = 2^28. The check keeps a code
     from ever wrapping.
     """
-    code_of = np.cumsum(np.bincount(values) > 0) - 1
-    distinct = int(code_of[-1]) + 1 if code_of.size else 0
-    if distinct >= 2**15:
-        raise ValueError(f"{distinct} distinct degrees do not fit int16 codes")
-    return code_of[values].astype(np.int16)
+    return _int16_codes(_codes_and_counts(values))
 
 
-def _spearman_uniform_seeded(p: PairSeries, seeds: list[np.random.SeedSequence]) -> list[float]:
-    """spearman_uniform of p once per seed, on dense codes built once."""
-    m = _pair_count(p, 2, "spearman")
-    cx, cy = _dense_codes(p.x), _dense_codes(p.y)
+def _int16_codes(side: Side) -> np.ndarray:
+    codes, counts = side
+    if counts.size >= 2**15:
+        raise ValueError(f"{counts.size} distinct degrees do not fit int16 codes")
+    return codes.astype(np.int16, copy=False)
+
+
+def _spearman_uniform_seeded(sx: Side, sy: Side, seeds: list[np.random.SeedSequence]) -> list[float]:
+    """spearman_uniform of a pair series once per seed, from its sides."""
+    m = _pair_count(sx[0].size, 2, "spearman")
+    cx, cy = _int16_codes(sx), _int16_codes(sy)
     rhos = []
     for ss in seeds:
         src_ss, tgt_ss = ss.spawn(2)
@@ -145,12 +170,13 @@ def spearman_ranked(
     """Spearman's rho with deterministic tie order (by_index / by_reverse_index).
 
     Exposes how strongly the value of rho under random tie breaking can
-    depend on the particular ordering of tied entries.
+    depend on the particular ordering of tied entries. Like spearman_uniform
+    it ranks the dense codes, which order and tie as the degrees do.
     """
     p = edge_degree_pairs(g, t)
-    m = _pair_count(p, 2, "spearman")
-    rx = permutation_ranks(p.x, source_policy)
-    ry = permutation_ranks(p.y, target_policy)
+    m = _pair_count(len(p), 2, "spearman")
+    rx = permutation_ranks(_dense_codes(p.x), source_policy)
+    ry = permutation_ranks(_dense_codes(p.y), target_policy)
     return _rho_from_permutation_ranks(rx, ry, m)
 
 
@@ -159,7 +185,8 @@ def spearman_uniform_mean(
 ) -> tuple[float, float]:
     """Sample mean and standard error of spearman_uniform over derived seeds."""
     _check_repetitions("repetitions", repetitions, 2)
-    vals = np.array(_spearman_uniform_seeded(edge_degree_pairs(g, t), np.random.SeedSequence(seed).spawn(repetitions)))
+    seeds = np.random.SeedSequence(seed).spawn(repetitions)
+    vals = np.array(_spearman_uniform_seeded(*_sides(edge_degree_pairs(g, t)), seeds))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -171,13 +198,13 @@ def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
     Works on doubled ranks so every sum is an exact integer; a single float
     division produces the result.
     """
-    return _spearman_average(edge_degree_pairs(g, t))
+    p = edge_degree_pairs(g, t)
+    return _spearman_average(average_ranks_doubled(p.x), average_ranks_doubled(p.y))
 
 
-def _spearman_average(p: PairSeries) -> float:
-    m = _pair_count(p, 2, "spearman")
-    u = average_ranks_doubled(p.x)
-    v = average_ranks_doubled(p.y)
+def _spearman_average(u: np.ndarray, v: np.ndarray) -> float:
+    """spearman_average from the doubled average ranks of both sides."""
+    m = _pair_count(u.size, 2, "spearman")
     shift = m * (m + 1) ** 2
     sx2 = exact_power_sum(u, 2) - shift
     sy2 = exact_power_sum(v, 2) - shift
@@ -201,20 +228,23 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
     Series with too many distinct values for a table of O(m) cells take a
     merge count instead.
     """
-    m = len(p)
+    return _concordance_counts(*_sides(p))
+
+
+def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
+    (xi, xn), (yi, yn) = sx, sy
+    m = xi.size
     if m < 2:
         return 0, 0
-    xs, xi = np.unique(p.x, return_inverse=True)
-    ys, yi = np.unique(p.y, return_inverse=True)
-    a, b = xs.size, ys.size
+    a, b = xn.size, yn.size
     # A degree series always fits. The k distinct positive values on one
     # side are degrees of k distinct nodes, so 1 + 2 + ... + k <= m, i.e.
     # k(k+1)/2 <= m. With a possible 0 a side has at most k+1 values, and
     # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
     # call takes the table path.
     if a * b > 4 * m:
-        return _merge_concordance_counts(p.x, yi)
-    table = np.bincount(xi * b + yi, minlength=a * b).reshape(a, b)
+        return _merge_concordance_counts(xi, yi, b)
+    table = np.bincount(xi.astype(np.intp) * b + yi, minlength=a * b).reshape(a, b)
     # before[i, j] = P[i-1, j]: pairs in rows before i and columns up to j.
     # Every product and both sums are at most m^2: exact in int64 for m < 3e9.
     before = np.zeros_like(table)
@@ -224,17 +254,19 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
     return nc, nd
 
 
-def _merge_concordance_counts(x: np.ndarray, r: np.ndarray) -> tuple[int, int]:
-    """Knight's (1966) merge count; r is the dense rank of y.
+def _merge_concordance_counts(x: np.ndarray, r: np.ndarray, b: int) -> tuple[int, int]:
+    """Knight's (1966) merge count; x and r are the dense codes of x and y,
+    and r takes b values.
 
     In (x, r) order a pair tied in x is sorted by r, and a pair tied in y is
     no strict inversion, so the strict inversions of r are exactly the
-    discordant pairs. By the same argument the strict inversions of -r in
-    (x, -r) order are the concordant pairs. Negating ranks, not values,
-    cannot overflow at -2^63.
+    discordant pairs. By the same argument the strict inversions of the
+    reflected codes b - 1 - r in (x, b - 1 - r) order are the concordant
+    pairs. Reflected codes stay in 0..b-1, where nothing can overflow.
     """
+    s = b - 1 - r
     nd = _kernels.count_strict_inversions(r[np.lexsort((r, x))])
-    nc = _kernels.count_strict_inversions(-r[np.lexsort((-r, x))])
+    nc = _kernels.count_strict_inversions(s[np.lexsort((s, x))])
     return nc, nd
 
 
@@ -244,40 +276,48 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    return _kendall_tau(edge_degree_pairs(g, t))
+    return _kendall_tau(*_sides(edge_degree_pairs(g, t)))
 
 
-def _kendall_tau(p: PairSeries) -> float:
-    m = _pair_count(p, 2, "kendall")
-    nc, nd = concordance_counts(p)
+def _kendall_tau(sx: Side, sy: Side) -> float:
+    m = _pair_count(sx[0].size, 2, "kendall")
+    nc, nd = _concordance_counts(sx, sy)
     return 2 * (nc - nd) / (m * (m - 1))
 
 
 def row_values(
-    g: DirectedGraph, t: DependencyType, names: tuple[str, ...], ss: np.random.SeedSequence, rho_reps: int
+    g: DirectedGraph,
+    t: DependencyType,
+    names: tuple[str, ...],
+    ss: np.random.SeedSequence,
+    rho_reps: int,
+    d: DegreeTable | None = None,
 ) -> list[tuple[float | None, str | None]]:
     """One report row: per name in order, (value, None), or (None, reason).
 
-    The edge series of (g, t) is built once and every measure reads it.
-    reason is "zero_variance" or "degenerate_size". spearman_uniform is the
-    mean over rho_reps tie-break instances on children of ss. They are
-    spawned before anything can raise, so the streams of later cells that
-    share ss do not depend on whether this one is defined.
+    d is g's DegreeTable, built here when not given. The edge series of
+    (g, t) and the dense codes and counts of each side are built once, and
+    every measure reads them. reason is "zero_variance" or
+    "degenerate_size". spearman_uniform is the mean over rho_reps tie-break
+    instances on children of ss. They are spawned before anything can
+    raise, so the streams of later cells that share ss do not depend on
+    whether this one is defined.
     """
-    p = edge_degree_pairs(g, t)
+    p = edge_degree_pairs(g, t, d)
+    sx, sy = _sides(p)
     row = []
     for name in names:
         # an if-chain, not a dict built at import, so rebound attributes see every call
         try:
             if name == "spearman_uniform":
                 children = ss.spawn(rho_reps)
-                row.append((float(np.mean(_spearman_uniform_seeded(p, children))), None))
+                row.append((float(np.mean(_spearman_uniform_seeded(sx, sy, children))), None))
             elif name == "pearson":
                 row.append((pearson_from_pairs(p), None))
             elif name == "spearman_average":
-                row.append((_spearman_average(p), None))
+                row.append((_spearman_average(_doubled_ranks(*sx), _doubled_ranks(*sy)), None))
             elif name == "kendall":
-                row.append((_kendall_tau(p), None))
+                row.append((_kendall_tau(sx, sy), None))
             else:
                 raise ValueError(f"unknown measure {name!r}")
         except ZeroVarianceError:

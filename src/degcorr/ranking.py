@@ -21,7 +21,7 @@ which ``np.lexsort((tiebreak, values))`` states directly. The ranking sorts
 twice instead: an unstable argsort of the tiebreak, then a stable argsort of
 the values taken in that order, so equal values keep their tiebreak order.
 When the values are small integers, such as the int16 dense codes that
-spearman_uniform passes, numpy radix-sorts them in O(n). The two sorts give
+spearman_uniform and spearman_ranked pass, numpy radix-sorts them in O(n). The two sorts give
 the lexsort order whenever the tiebreaks are distinct. An unstable sort may
 reorder equal tiebreaks, so if the sorted tiebreak has a zero gap the
 ranking falls back to the lexsort itself.
@@ -33,17 +33,50 @@ import numpy as np
 TiePolicy = str
 
 
+def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, counts): each value's index among the distinct values,
+    ascending, and how often each distinct value occurs.
+
+    Codes keep the order of the values, so any rank of the codes is the same
+    rank of the values. Non-negative integers no larger than the series
+    length, such as a degree series (a degree is at most m), are counted
+    with one bincount of at most size + 1 bins, and their codes are int16
+    whenever at most 2^15 values are distinct, as in every degree series.
+    Anything else (negative values, floats, a maximum above the size) takes
+    np.unique, so no input asks for more bins than it has elements.
+    """
+    values = np.asarray(values)
+    if (
+        values.ndim == 1
+        and values.dtype.kind in "iu"
+        and values.min(initial=0) >= 0
+        and values.max(initial=0) <= values.size
+    ):
+        hist = np.bincount(values.astype(np.intp, copy=False))
+        present = hist > 0
+        counts = hist[present]
+        code_of = (np.cumsum(present) - 1).astype(np.int16 if counts.size <= 2**15 else np.intp)
+        return code_of[values], counts
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return inverse.reshape(values.shape), counts
+
+
+def _doubled_ranks(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Doubled average ranks of the values that _codes_and_counts described.
+
+    Per distinct value, ascending, 2*rank = 2 * (values above) + count + 1
+    = 2m + 1 - 2 * cumsum(counts) + counts; gathered back by code.
+    """
+    per_value = 2 * codes.size + 1 - 2 * np.cumsum(counts) + counts
+    return per_value.astype(np.int64, copy=False)[codes]
+
+
 def average_ranks_doubled(values: np.ndarray) -> np.ndarray:
     """Doubled average ranks (2*rank) as exact int64.
 
     2*rank(v) = 2 * |{u : u > v}| + |{u : u == v}| + 1.
     """
-    values = np.asarray(values)
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    total = values.size
-    greater = total - np.cumsum(counts)  # per unique value, ascending order
-    doubled = 2 * greater + counts + 1
-    return doubled[inverse].astype(np.int64)
+    return _doubled_ranks(*_codes_and_counts(values))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import measures
 from .config_model import RandomizationSummary
-from .graph import ALL_TYPES, DependencyType, DirectedGraph
+from .graph import ALL_TYPES, DependencyType, DirectedGraph, degrees
 
 SCHEMA_VERSION = 1
 TYPE_ORDER = tuple(t.wire_name for t in ALL_TYPES)
@@ -65,9 +65,10 @@ def compute_report(
     cells: dict[tuple[str, str], Cell] = {}
     root = np.random.SeedSequence(seed)
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))
+    d = degrees(g)
     for tname in types:
         t = DependencyType.from_wire(tname)
-        row = measures.row_values(g, t, which, type_seeds[tname], rho_repetitions)
+        row = measures.row_values(g, t, which, type_seeds[tname], rho_repetitions, d)
         for mname, (value, reason) in zip(which, row):
             cells[(tname, mname)] = Cell(value, reason)
     return CorrelationReport(

@@ -7,20 +7,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degcorr as dc
-from degcorr import DegenerateSizeError, EmptyGraphError, ZeroVarianceError, _kernels, measures
+from degcorr import (
+    DegenerateSizeError,
+    EmptyGraphError,
+    ZeroVarianceError,
+    _kernels,
+    config_model,
+    graph,
+    measures,
+    report,
+)
 from degcorr.measures import (
     MAX_REPETITIONS,
     MEASURES,
     _dense_codes,
+    _rho_from_permutation_ranks,
     concordance_counts,
     row_values,
     variance_gap,
 )
+from degcorr.ranking import permutation_ranks
 from degcorr.report import compute_report
 
 from helpers import brute_concordance, brute_pearson, random_multigraph, vertex_pearson
 
 IN_OUT = dc.DependencyType.IN_OUT
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_graphs():
+    return [dc.load_edge_list(str(f)).graph for f in sorted(GOLDEN.glob("*.txt"))]
 
 
 def measure_defined(fn, *args):
@@ -231,6 +247,24 @@ class TestSpearmanRanked:
         assert a == pytest.approx(1 / 28, abs=1e-12)
         assert b == pytest.approx(-1 / 4, abs=1e-12)
 
+    def test_codes_rank_as_the_degrees(self, corpus):
+        # spearman_ranked ranks dense codes; they must give the degrees' ranks
+        policies = ("by_index", "by_reverse_index")
+        for g in corpus + golden_graphs():
+            for t in dc.ALL_TYPES:
+                p = dc.edge_degree_pairs(g, t)
+                raw = {}
+                for name, side in (("x", p.x), ("y", p.y)):
+                    for policy in policies:
+                        raw[name, policy] = permutation_ranks(side, policy)
+                        assert permutation_ranks(_dense_codes(side), policy).tolist() == raw[name, policy].tolist()
+                if len(p) < 2:
+                    continue
+                for sp in policies:
+                    for tp in policies:
+                        want = _rho_from_permutation_ranks(raw["x", sp], raw["y", tp], len(p))
+                        assert dc.spearman_ranked(g, t, sp, tp) == want
+
 
 class TestKendall:
     def test_monotone_pairs(self):
@@ -267,6 +301,15 @@ class TestKendall:
         y = rng.integers(0, 12, 200)
         p = dc.PairSeries(x, y)
         assert concordance_counts(p) == brute_concordance(p.tuples())
+
+    def test_table_cells_beyond_int16(self):
+        # 200 distinct values per side: a*b = 40000 cells, more than an int16
+        # cell index holds, yet within 4m, so the table path counts them
+        rng = np.random.default_rng(12)
+        p = dc.PairSeries(rng.integers(0, 200, 20_000), rng.integers(0, 200, 20_000))
+        got = concordance_counts(p)
+        yi = np.unique(p.y, return_inverse=True)[1]
+        assert got == measures._merge_concordance_counts(p.x, yi, 200)
 
     def test_degenerate(self):
         with pytest.raises(EmptyGraphError):
@@ -314,8 +357,7 @@ class TestKendall:
 
     def test_degree_series_fit_the_table(self, corpus, monkeypatch):
         # the bound a*b <= 4m that keeps every degree series on the table path
-        golden = Path(__file__).resolve().parent / "golden"
-        graphs = corpus + [dc.load_edge_list(str(f)).graph for f in sorted(golden.glob("*.txt"))]
+        graphs = corpus + golden_graphs()
 
         def no_merge(values):
             raise AssertionError("degree series reached the merge count")
@@ -367,21 +409,50 @@ class TestCellValue:
 
     def test_one_series_per_row(self, monkeypatch):
         calls = []
+        tables = []
 
-        def spy(g, t):
+        def spy(g, t, d=None):
             calls.append(t)
-            return dc.edge_degree_pairs(g, t)
+            return dc.edge_degree_pairs(g, t, d)
+
+        def degrees_spy(g):
+            tables.append(g)
+            return dc.degrees(g)
 
         monkeypatch.setattr(measures, "edge_degree_pairs", spy)
+        # every binding of graph.degrees: a degree table is built once per graph
+        for module in (graph, report, config_model):
+            monkeypatch.setattr(module, "degrees", degrees_spy)
         g = dc.bridge_graph(dc.BridgeParams(3, 4))
         compute_report(g, "g")
         assert calls == list(dc.ALL_TYPES)
+        assert tables == [g]
         calls.clear()
+        tables.clear()
         compute_report(g, "g", types=("out_out",))
         assert calls == [dc.DependencyType.OUT_OUT]
         calls.clear()
+        tables.clear()
         dc.randomization_study(g, 3, 0)
         assert calls == list(dc.ALL_TYPES) * 3
+        # the input graph, then one table per ECM draw
+        assert len(tables) == 1 + 3 and tables[0] is g
+
+    def test_report_path_never_sorts_for_codes(self, monkeypatch):
+        # codes, ranks and tables come from bincount; np.unique is only the
+        # fallback for inputs that are not degree series
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return unique(*args, **kwargs)
+
+        g = dc.load_edge_list(str(GOLDEN / "ecm_2000.txt")).graph
+        monkeypatch.setattr(np, "unique", spy)
+        compute_report(g, "ecm_2000")
+        dc.randomization_study(g, 3, 0)
+        assert calls == []
 
 
 class TestInvariants:

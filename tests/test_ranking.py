@@ -1,10 +1,17 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from degcorr.ranking import average_ranks, average_ranks_doubled, permutation_ranks, rank_with_ties
+import degcorr as dc
+from degcorr.measures import concordance_counts
+from degcorr.ranking import _codes_and_counts, average_ranks, average_ranks_doubled, permutation_ranks, rank_with_ties
+
+from helpers import brute_concordance
 
 
 def test_average_ranks_worked_example():
@@ -163,3 +170,77 @@ def test_permutation_ranks_match_the_lexsort(values, seed):
     for policy, tiebreak in tiebreaks.items():
         got = permutation_ranks(values, policy, np.random.default_rng(seed))
         assert got.tolist() == lexsort_ranks(values, tiebreak).tolist()
+
+
+def unique_doubled_ranks(values):
+    """Reference: doubled average ranks from np.unique's inverse and counts."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    doubled = 2 * (values.size - np.cumsum(counts)) + counts + 1
+    return doubled[inverse.reshape(-1)]
+
+
+# Values no bincount of at most size + 1 bins can take: a maximum far above
+# the size, a negative value, both int64 extremes, and floats, even those
+# between 0 and the size.
+OUTSIDE_BINCOUNT = {
+    "huge": np.array([0, 2**62, 0]),
+    "negative": np.array([-1, 3, 3, -1, 0]),
+    "int64 extremes": np.array(INT64_EXTREMES + INT64_EXTREMES[::2]),
+    "uint64 top": np.array([0, 2**64 - 1, 2**64 - 1], dtype=np.uint64),
+    "special floats": np.array(SPECIAL_FLOATS * 2),
+    "small floats": np.array([0.5, 1.5, 0.25, 1.0, 0.5, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(OUTSIDE_BINCOUNT))
+def test_codes_outside_bincount_take_unique(name, monkeypatch):
+    values = OUTSIDE_BINCOUNT[name]
+    unique = np.unique
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    # a PairSeries holds int64, so the other inputs reach average_ranks_doubled only
+    pairs = dc.PairSeries(values, values[::-1].copy()) if values.dtype == np.int64 else None
+    monkeypatch.setattr(np, "unique", spy)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        doubled = average_ranks_doubled(values)
+        counts = None if pairs is None else concordance_counts(pairs)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert elapsed < 1.0
+    assert peak < 2**20
+    # one fallback per side of each call
+    assert calls == [values.size] * (1 if pairs is None else 3)
+    assert doubled.tolist() == unique_doubled_ranks(values).tolist()
+    if values.dtype.kind != "f":
+        py = values.tolist()
+        assert doubled.tolist() == [2 * sum(u > v for u in py) + py.count(v) + 1 for v in py]
+    if pairs is not None:
+        assert counts == brute_concordance(pairs.tuples())
+
+
+@st.composite
+def non_negative_series(draw):
+    dtype = draw(st.sampled_from([np.int64, np.uint64, np.int32]))
+    size = draw(st.integers(0, 80))
+    # a maximum up to the size takes the bincount, a larger one np.unique
+    top = draw(st.sampled_from([0, 1, 5, size, size + 1, 2**16, 2**31 - 1, 2**63 - 1]))
+    if dtype is np.int32:
+        top = min(top, 2**31 - 1)
+    return np.array(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)), dtype=dtype)
+
+
+@given(non_negative_series())
+def test_codes_and_counts_match_unique(values):
+    codes, counts = _codes_and_counts(values)
+    _, inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
+    assert codes.tolist() == inverse.reshape(-1).tolist()
+    assert counts.tolist() == ref_counts.tolist()
