@@ -15,7 +15,7 @@ from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import exact_power_sum
 from .generators import PowerLawSpec, _as_rng, _pareto_floor
-from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, degrees
+from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _sorted_edge_keys, degrees
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,9 @@ def erased_configuration_model(
 
     keep = src != tgt
     loops = stubs - int(np.count_nonzero(keep))
-    # one int64 key per edge, sorted like (src, tgt) pairs; n * n < 2**63
-    # for any n whose degree array fits in memory. Sorted and deduplicated by
-    # hand: numpy 2.4's np.unique hashes 1-d input, ~60x slower at 1.3M keys.
-    key = np.sort(src[keep] * n + tgt[keep])
+    # drop the stub arrays before the sort; n * n < 2**63 for any n in memory
+    src, tgt = src[keep], tgt[keep]
+    key = _sorted_edge_keys(n, src, tgt)
     key = key[np.diff(key, prepend=-1) != 0]
     graph = DirectedGraph(n, key // n, key % n)
     report = RewireReport(stubs, loops, stubs - loops - key.size, graph.edge_count)

@@ -6,14 +6,15 @@ layers:
 
 * once per graph, the DegreeTable (compute_report and randomization_study
   pass it to row_values, so every type reuses one graph.degrees call);
-* once per row (graph and type), the edge series, and for each side its
-  dense codes (each degree's index among the side's distinct degrees,
-  ascending) with the count of every distinct degree, by one bincount.
+* once per row (graph and type), the edge series, and, when a selected
+  measure reads them, each side's dense codes (each degree's index among
+  the side's distinct degrees, ascending) and counts of the distinct
+  degrees, from ranking._codes_and_counts, which alone picks their dtype.
 
 Each measure of the row reads these:
 
 * pearson takes exact sums over the edge series itself;
-* spearman_uniform ranks the codes, as int16, once per tie-break seed;
+* spearman_uniform ranks the codes once per tie-break seed;
 * spearman_average gathers the doubled average ranks per distinct degree,
   computed from the counts, back by code and takes exact sums of them;
 * kendall counts concordant and discordant pairs on the joint table
@@ -32,7 +33,8 @@ import numpy as np
 from . import _kernels
 from ._exact import exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
-from .graph import DegreeTable, DependencyType, DirectedGraph, PairSeries, edge_degree_pairs, vertex_moment_sum
+from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents,
+                    edge_degree_pairs, vertex_moment_sum)
 from .ranking import _codes_and_counts, _doubled_ranks, average_ranks_doubled, permutation_ranks
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
@@ -60,13 +62,6 @@ def _pair_count(m: int, least: int, measure: str) -> int:
     return m
 
 
-def _weighted_moment(d: DegreeTable, weight: str, value: str, k: int) -> int:
-    """Sum over nodes of D^weight * (D^value)^k, as vertex moment sums."""
-    if weight == "out":
-        return vertex_moment_sum(d, 1 + k, 0) if value == "out" else vertex_moment_sum(d, 1, k)
-    return vertex_moment_sum(d, k, 1) if value == "out" else vertex_moment_sum(d, 0, 1 + k)
-
-
 def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
     """|E| * sum(D^w * (D^v)^2) - (sum(D^w * D^v))^2, an exact non-negative int.
 
@@ -75,8 +70,8 @@ def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
     edge-series variance vanishes and Pearson is undefined.
     """
     m = int(exact_power_sum(d.out_degree, 1))
-    s1 = _weighted_moment(d, weight_kind, value_kind, 1)
-    s2 = _weighted_moment(d, weight_kind, value_kind, 2)
+    s1 = vertex_moment_sum(d, *_moment_exponents(weight_kind, value_kind, 1))
+    s2 = vertex_moment_sum(d, *_moment_exponents(weight_kind, value_kind, 2))
     return m * s2 - s1 * s1
 
 
@@ -129,34 +124,14 @@ def _sides(p: PairSeries) -> tuple[Side, Side]:
     return _codes_and_counts(p.x), _codes_and_counts(p.y)
 
 
-def _dense_codes(values: np.ndarray) -> np.ndarray:
-    """Index of each value among the distinct values, ascending, as int16.
-
-    Ranks depend only on the order of the values, so ranking the codes gives
-    the ranks of the values. A degree series of m edges has at most
-    sqrt(2m) + 1 distinct values (the bound in concordance_counts), fewer
-    than 2^15 for every m <= graph.MAX_EDGES = 2^28. The check keeps a code
-    from ever wrapping.
-    """
-    return _int16_codes(_codes_and_counts(values))
-
-
-def _int16_codes(side: Side) -> np.ndarray:
-    codes, counts = side
-    if counts.size >= 2**15:
-        raise ValueError(f"{counts.size} distinct degrees do not fit int16 codes")
-    return codes.astype(np.int16, copy=False)
-
-
 def _spearman_uniform_seeded(sx: Side, sy: Side, seeds: list[np.random.SeedSequence]) -> list[float]:
     """spearman_uniform of a pair series once per seed, from its sides."""
     m = _pair_count(sx[0].size, 2, "spearman")
-    cx, cy = _int16_codes(sx), _int16_codes(sy)
     rhos = []
     for ss in seeds:
         src_ss, tgt_ss = ss.spawn(2)
-        rx = permutation_ranks(cx, "uniform_random", np.random.default_rng(src_ss))
-        ry = permutation_ranks(cy, "uniform_random", np.random.default_rng(tgt_ss))
+        rx = permutation_ranks(sx[0], "uniform_random", np.random.default_rng(src_ss))
+        ry = permutation_ranks(sy[0], "uniform_random", np.random.default_rng(tgt_ss))
         rhos.append(_rho_from_permutation_ranks(rx, ry, m))
     return rhos
 
@@ -173,10 +148,10 @@ def spearman_ranked(
     depend on the particular ordering of tied entries. Like spearman_uniform
     it ranks the dense codes, which order and tie as the degrees do.
     """
-    p = edge_degree_pairs(g, t)
-    m = _pair_count(len(p), 2, "spearman")
-    rx = permutation_ranks(_dense_codes(p.x), source_policy)
-    ry = permutation_ranks(_dense_codes(p.y), target_policy)
+    (cx, _), (cy, _) = _sides(edge_degree_pairs(g, t))
+    m = _pair_count(cx.size, 2, "spearman")
+    rx = permutation_ranks(cx, source_policy)
+    ry = permutation_ranks(cy, target_policy)
     return _rho_from_permutation_ranks(rx, ry, m)
 
 
@@ -237,9 +212,8 @@ def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
     if m < 2:
         return 0, 0
     a, b = xn.size, yn.size
-    # A degree series always fits. The k distinct positive values on one
-    # side are degrees of k distinct nodes, so 1 + 2 + ... + k <= m, i.e.
-    # k(k+1)/2 <= m. With a possible 0 a side has at most k+1 values, and
+    # A degree series always fits. A side with k distinct positive values
+    # has k(k+1)/2 <= m (see _codes_and_counts) and at most k+1 values, so
     # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
     # call takes the table path.
     if a * b > 4 * m:
@@ -296,15 +270,16 @@ def row_values(
     """One report row: per name in order, (value, None), or (None, reason).
 
     d is g's DegreeTable, built here when not given. The edge series of
-    (g, t) and the dense codes and counts of each side are built once, and
-    every measure reads them. reason is "zero_variance" or
+    (g, t) is built once, and so are the dense codes and counts of each
+    side when a selected measure reads them. reason is "zero_variance" or
     "degenerate_size". spearman_uniform is the mean over rho_reps tie-break
     instances on children of ss. They are spawned before anything can
     raise, so the streams of later cells that share ss do not depend on
     whether this one is defined.
     """
     p = edge_degree_pairs(g, t, d)
-    sx, sy = _sides(p)
+    # pearson reads the series itself; every other measure reads the sides
+    sx, sy = _sides(p) if any(name != "pearson" for name in names) else (None, None)
     row = []
     for name in names:
         # an if-chain, not a dict built at import, so rebound attributes see every call

@@ -40,8 +40,13 @@ def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Codes keep the order of the values, so any rank of the codes is the same
     rank of the values. Non-negative integers no larger than the series
     length, such as a degree series (a degree is at most m), are counted
-    with one bincount of at most size + 1 bins, and their codes are int16
-    whenever at most 2^15 values are distinct, as in every degree series.
+    with one bincount of at most size + 1 bins. Their codes are int16
+    whenever at most 2^15 values are distinct, so the highest code is 32767
+    and numpy radix-sorts them. Every degree series qualifies: the k
+    distinct positive degrees on one side belong to k distinct nodes, so
+    k(k+1)/2 <= m and a side has at most sqrt(2m) + 1 distinct values,
+    fewer than 2^15 for every m <= graph.MAX_EDGES = 2^28. With more
+    distinct values the codes stay intp; they rank the same, only slower.
     Anything else (negative values, floats, a maximum above the size) takes
     np.unique, so no input asks for more bins than it has elements.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import PowerLawSpec, iid_degree_sequence, random_bridge_collection
-from .graph import DependencyType
+from .graph import DependencyType, _moment_exponents
 from .measures import _check_repetitions, pearson
 
 # ---------------------------------------------------------------------------
@@ -246,22 +246,16 @@ def scaling_exponent(p: float, q: float, g: GammaPair) -> float:
     return max(p / g.gamma_out, q / g.gamma_in, 1.0)
 
 
-_SOURCE_PQ = {"out": (2, 0), "in": (1, 1)}  # D+ * D^alpha
-_TARGET_PQ = {"out": (1, 1), "in": (0, 2)}  # D- * D^beta
-_SOURCE_SQ = {"out": (3, 0), "in": (1, 2)}  # D+ * (D^alpha)^2
-_TARGET_SQ = {"out": (2, 1), "in": (0, 3)}  # D- * (D^beta)^2
-
-
 def limit_exponents(t: DependencyType, g: GammaPair) -> LimitExponents:
     """Exponents (a, b, c, d) for one dependency type.
 
     a and b are squared-sum exponents divided by the edge growth (linear for
     tail exponents above 1), c and d are plain sum exponents.
     """
-    a = 2 * scaling_exponent(*_SOURCE_PQ[t.source_kind], g) - 1
-    b = 2 * scaling_exponent(*_TARGET_PQ[t.target_kind], g) - 1
-    c = scaling_exponent(*_SOURCE_SQ[t.source_kind], g)
-    d = scaling_exponent(*_TARGET_SQ[t.target_kind], g)
+    a = 2 * scaling_exponent(*_moment_exponents("out", t.source_kind, 1), g) - 1
+    b = 2 * scaling_exponent(*_moment_exponents("in", t.target_kind, 1), g) - 1
+    c = scaling_exponent(*_moment_exponents("out", t.source_kind, 2), g)
+    d = scaling_exponent(*_moment_exponents("in", t.target_kind, 2), g)
     return LimitExponents(a, b, c, d)
 
 

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import degcorr as dc
 from degcorr import EdgeListFormatError
-from degcorr.graph import _WRITE_CHUNK, _parse_fast, _parse_lines, vertex_moment_sum
+from degcorr.graph import _WRITE_CHUNK, _moment_exponents, _parse_fast, _parse_lines, vertex_moment_sum
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestLoadEdgeList:
@@ -314,10 +317,12 @@ def test_edge_vertex_sum_identity(edges):
             lhs = int(np.sum(per_edge.astype(object) ** k))
             p, q = (k + 1, 0) if kind == "out" else (1, k)
             assert lhs == vertex_moment_sum(d, p, q)
+            assert _moment_exponents("out", kind, k) == (p, q)
             per_edge_t = d.kind(kind)[g.tgt]
             lhs_t = int(np.sum(per_edge_t.astype(object) ** k))
             p, q = (k, 1) if kind == "out" else (0, k + 1)
             assert lhs_t == vertex_moment_sum(d, p, q)
+            assert _moment_exponents("in", kind, k) == (p, q)
 
 
 @given(
@@ -330,6 +335,35 @@ def test_moment_sum_1_0_is_edge_count(edges):
     d = dc.degrees(g)
     assert vertex_moment_sum(d, 1, 0) == g.edge_count
     assert vertex_moment_sum(d, 0, 1) == g.edge_count
+
+
+def set_duplicates(g):
+    return g.edge_count - len(set(g.edges))
+
+
+def test_duplicate_edge_count_matches_a_set(corpus):
+    golden = [dc.load_edge_list(str(f)).graph for f in sorted(GOLDEN.glob("*.txt"))]
+    for g in corpus + golden:
+        assert g.duplicate_edge_count() == set_duplicates(g)
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60))
+    )
+)
+def test_duplicate_edge_count_on_multigraphs(graph):
+    g = dc.DirectedGraph.from_edges(*graph)
+    assert g.duplicate_edge_count() == set_duplicates(g)
+
+
+def test_duplicate_edge_count_beyond_packed_keys():
+    # node_count**2 >= 2**63: a key src * n + tgt would wrap, and sources
+    # 2**24 apart would share one, so these ids take the lexsort
+    top = 2**40 - 1
+    edges = [(top, 5), (top - 2**24, 5), (top, 5), (0, top), (top, top), (0, top), (5, top)]
+    g = dc.DirectedGraph.from_edges(2**40, edges)
+    assert g.duplicate_edge_count() == set_duplicates(g) == 2
 
 
 def test_graph_rejects_out_of_range_endpoints():

@@ -20,13 +20,14 @@ from degcorr import (
 from degcorr.measures import (
     MAX_REPETITIONS,
     MEASURES,
-    _dense_codes,
     _rho_from_permutation_ranks,
+    _sides,
+    _spearman_uniform_seeded,
     concordance_counts,
     row_values,
     variance_gap,
 )
-from degcorr.ranking import permutation_ranks
+from degcorr.ranking import _codes_and_counts, permutation_ranks
 from degcorr.report import compute_report
 
 from helpers import brute_concordance, brute_pearson, random_multigraph, vertex_pearson
@@ -37,6 +38,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def golden_graphs():
     return [dc.load_edge_list(str(f)).graph for f in sorted(GOLDEN.glob("*.txt"))]
+
+
+def lexsort_rho(p, ss):
+    """spearman_uniform of p on the documented streams of ss: child 0 draws
+    the source-side tiebreak, child 1 the target-side one; ranks come from
+    one lexsort on the raw degrees."""
+
+    def lexsort_ranks(values, draws):
+        ranks = np.empty(values.size, dtype=np.int64)
+        ranks[np.lexsort((draws, values))] = np.arange(values.size, 0, -1)
+        return ranks
+
+    m = len(p)
+    src, tgt = (np.random.default_rng(c).random(m) for c in ss.spawn(2))
+    s = int(lexsort_ranks(p.x, src) @ lexsort_ranks(p.y, tgt))
+    return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
 
 
 def measure_defined(fn, *args):
@@ -95,6 +112,12 @@ class TestVarianceGap:
     def test_bridge_gap_positive(self):
         d = dc.degrees(dc.bridge_graph(dc.BridgeParams(2, 2)))
         assert variance_gap(d, "out", "in") > 0
+
+    def test_gap_refuses_unknown_kinds(self):
+        d = dc.degrees(dc.bridge_graph(dc.BridgeParams(2, 3)))
+        for kinds in (("sideways", "in"), ("out", "OUT"), ("in", None)):
+            with pytest.raises(ValueError, match="'out' or 'in'"):
+                variance_gap(d, *kinds)
 
     def test_gap_identity_against_double_loop(self, corpus):
         for g in corpus[:8]:
@@ -205,29 +228,28 @@ class TestSpearmanUniform:
             dc.spearman_uniform_mean(g, IN_OUT, reps, 0)
 
     def test_replays_the_documented_streams(self, corpus):
-        # per repetition child: its child 0 draws the source-side tiebreak,
-        # child 1 the target-side one; ranks from one lexsort on raw degrees
-        def lexsort_ranks(values, draws):
-            ranks = np.empty(values.size, dtype=np.int64)
-            ranks[np.lexsort((draws, values))] = np.arange(values.size, 0, -1)
-            return ranks
-
-        def rho(p, ss):
-            m = len(p)
-            src, tgt = (np.random.default_rng(c).random(m) for c in ss.spawn(2))
-            s = int(lexsort_ranks(p.x, src) @ lexsort_ranks(p.y, tgt))
-            return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
-
         for g in corpus:
             for t in dc.ALL_TYPES:
                 p = dc.edge_degree_pairs(g, t)
                 if len(p) < 2:
                     continue
-                assert dc.spearman_uniform(g, t, 41) == rho(p, np.random.SeedSequence(41))
-                mean = float(np.mean([rho(p, ss) for ss in np.random.SeedSequence(41).spawn(5)]))
+                assert dc.spearman_uniform(g, t, 41) == lexsort_rho(p, np.random.SeedSequence(41))
+                mean = float(np.mean([lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(5)]))
                 row = row_values(g, t, MEASURES, np.random.SeedSequence(41), 5)
                 assert row[MEASURES.index("spearman_uniform")] == (mean, None)
                 assert dc.spearman_uniform_mean(g, t, 5, 41)[0] == mean
+
+    def test_intp_codes_replay_the_documented_streams(self):
+        # 2**15 + 1 distinct source values: too many for int16, so the codes
+        # stay intp and take the slower sorts, with the same ranks
+        rng = np.random.default_rng(15)
+        distinct = np.arange(2**15 + 1)
+        x = rng.permutation(np.concatenate([distinct, rng.integers(0, distinct.size, 1000)]))
+        p = dc.PairSeries(x, rng.integers(0, 50, x.size))
+        sx, sy = _sides(p)
+        assert sx[0].dtype == np.intp and sy[0].dtype == np.int16
+        got = _spearman_uniform_seeded(sx, sy, np.random.SeedSequence(3).spawn(3))
+        assert got == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(3).spawn(3)]
 
 
 class TestSpearmanRanked:
@@ -257,7 +279,8 @@ class TestSpearmanRanked:
                 for name, side in (("x", p.x), ("y", p.y)):
                     for policy in policies:
                         raw[name, policy] = permutation_ranks(side, policy)
-                        assert permutation_ranks(_dense_codes(side), policy).tolist() == raw[name, policy].tolist()
+                        codes = _codes_and_counts(side)[0]
+                        assert permutation_ranks(codes, policy).tolist() == raw[name, policy].tolist()
                 if len(p) < 2:
                     continue
                 for sp in policies:
@@ -369,19 +392,18 @@ class TestKendall:
                 a, b = np.unique(p.x).size, np.unique(p.y).size
                 assert a * b <= 4 * len(p)
                 concordance_counts(p)
-                # and the dense codes spearman_uniform ranks fit int16
-                for side in (p.x, p.y):
-                    codes = _dense_codes(side)
+                # and the dense codes every rank-based measure reads are int16
+                for side, (codes, _) in zip((p.x, p.y), _sides(p)):
                     assert codes.dtype == np.int16
                     assert codes.tolist() == np.unique(side, return_inverse=True)[1].tolist()
 
-    def test_dense_codes_refuse_what_int16_cannot_hold(self):
-        assert _dense_codes(np.arange(2**15 - 1) * 3).max() == 2**15 - 2
-        # code 2**15 would wrap to -2**15
-        with pytest.raises(ValueError, match="int16"):
-            _dense_codes(np.arange(2**15 + 1) * 3)
-        with pytest.raises(ValueError, match="int16"):
-            _dense_codes(np.arange(2**15))
+    def test_codes_are_int16_up_to_2_15_distinct_values(self):
+        codes, counts = _codes_and_counts(np.arange(2**15))
+        assert codes.dtype == np.int16 and codes.max() == 2**15 - 1
+        assert counts.size == 2**15
+        # one more and code 2**15 would wrap to -2**15 in int16
+        codes, _ = _codes_and_counts(np.arange(2**15 + 1))
+        assert codes.dtype == np.intp and codes.max() == 2**15
 
 
 class TestCellValue:
@@ -437,6 +459,20 @@ class TestCellValue:
         assert calls == list(dc.ALL_TYPES) * 3
         # the input graph, then one table per ECM draw
         assert len(tables) == 1 + 3 and tables[0] is g
+        # pearson reads the series alone; the other measures read both sides
+        codes = []
+
+        def codes_spy(values):
+            codes.append(len(values))
+            return _codes_and_counts(values)
+
+        monkeypatch.setattr(measures, "_codes_and_counts", codes_spy)
+        compute_report(g, "g", which=("pearson",))
+        assert codes == []
+        for names in MEASURES[1:], MEASURES:
+            compute_report(g, "g", types=("out_out",), which=names)
+            assert codes == [g.edge_count] * 2
+            codes.clear()
 
     def test_report_path_never_sorts_for_codes(self, monkeypatch):
         # codes, ranks and tables come from bincount; np.unique is only the
