@@ -269,15 +269,24 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     del bounds, id_starts, line_break, per_line
 
     ids = np.fromstring(data, dtype=np.int64, count=ids_count, sep=" ")
-    # first-appearance remap: sort, mark where the value changes, and take
-    # each value's smallest position (the sort is not stable)
-    order = np.argsort(ids)
-    ids = ids[order]
+    # first-appearance remap: sort by (value, position), mark where the value
+    # changes, and take the first position of each run
+    if int(ids.max()) < 2**63 // ids_count:
+        # one packed key id * ids_count + position, built and sorted in place
+        ids *= ids_count
+        ids += np.arange(ids_count)
+        ids.sort()
+        order = ids % ids_count
+        ids //= ids_count
+    else:
+        # packed keys would wrap; a stable argsort keeps equal ids in order
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
     new_value = np.empty(ids_count, dtype=bool)
     new_value[0] = True
     np.not_equal(ids[1:], ids[:-1], out=new_value[1:])
     runs = np.flatnonzero(new_value)
-    first = np.minimum.reduceat(order, runs)
+    first = order[runs]
     # a value's dense id counts the values that appear before it
     is_first = np.zeros(ids_count, dtype=bool)
     is_first[first] = True

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -133,6 +137,8 @@ class TestBalanceIidSequence:
         assert attempts == 1
         assert got.tolist() == [[1, 1]] * 4
 
+    # the _stub_block tests run one worker: the stub feeds the fills from one
+    # shared iterator, so their outcome depends on the order of the calls
     @staticmethod
     def _stub_block(monkeypatch, out_rows, in_rows):
         # the balancer fills one block of out-degree rows, then one of in-degrees
@@ -149,7 +155,9 @@ class TestBalanceIidSequence:
         n = len(out_row)
         self._stub_block(monkeypatch, [out_row, [1] * n], [in_row, [1] * n])
         spec = PowerLawSpec(2.0, 1)
-        return dc.balance_iid_sequence(np.array([[1, 0]] * n), spec, spec, 0, max_attempts=2)
+        return dc.balance_iid_sequence(
+            np.array([[1, 0]] * n), spec, spec, 0, max_attempts=2, _workers=1
+        )
 
     def test_wrapped_row_sums_are_not_a_hit(self, monkeypatch):
         # attempt 1's float64 sums both round to 2**53, but it is not balanced
@@ -169,7 +177,9 @@ class TestBalanceIidSequence:
         assert np.sum(np.array(out_row, dtype=np.float64)) != np.sum(np.array(in_row, dtype=np.float64))
         self._stub_block(monkeypatch, [out_row, [1] * 3], [in_row, [2] * 3])
         spec = PowerLawSpec(2.0, 1)
-        got, attempts = dc.balance_iid_sequence(np.array([[1, 0]] * 3), spec, spec, 0, max_attempts=2)
+        got, attempts = dc.balance_iid_sequence(
+            np.array([[1, 0]] * 3), spec, spec, 0, max_attempts=2, _workers=1
+        )
         assert attempts == 1
         assert got.tolist() == [list(p) for p in zip(out_row, in_row)]
 
@@ -211,14 +221,22 @@ def _naive_balance(pairs, spec_out, spec_in, seed, max_attempts):
     raise BalanceFailedError(max_attempts)
 
 
+WORKERS = (1, 2)
+
+
 def _iid_cm_balance_attempts(n: int, seed: int) -> int:
-    # the balancing step of acceptance 8's iid-cm family (gamma 1.5)
+    # the balancing step of acceptance 8's iid-cm family (gamma 1.5), on one
+    # worker and on two, which must agree
     spec = PowerLawSpec(1.5, 1)
     seq_ss, bal_ss, _ = np.random.SeedSequence(seed).spawn(3)
     pairs = dc.iid_degree_sequence(n, spec, spec, int(seq_ss.generate_state(1)[0]))
-    balanced, attempts = dc.balance_iid_sequence(
-        pairs, spec, spec, int(bal_ss.generate_state(1)[0]), max_attempts=200_000
+    (balanced, attempts), (balanced_2, attempts_2) = (
+        dc.balance_iid_sequence(
+            pairs, spec, spec, int(bal_ss.generate_state(1)[0]), max_attempts=200_000, _workers=w
+        )
+        for w in WORKERS
     )
+    assert attempts == attempts_2 and np.array_equal(balanced, balanced_2)
     assert sum(balanced[:, 0].tolist()) == sum(balanced[:, 1].tolist())
     return attempts
 
@@ -233,13 +251,16 @@ class TestBalanceStreams:
 
     # (n, gamma, seed, budgets): hits on attempts 2, 5, 266, 220 and 89; the
     # budgets end just before, on and after each hit, and most are not a
-    # multiple of the attempts drawn per block
+    # multiple of the attempts drawn per block. At n=300 a block is 218
+    # rows, so both n=300 hits fall in block 1, the second worker's, and
+    # budgets 264 to 266, 219 and 220 cut that block short; a block that
+    # is not cut would report the hit on attempt 266 within a budget of 264
     @pytest.mark.parametrize(
         "n, gamma, seed, budgets",
         [
             (1, 1.5, 0, [1, 2, 3]),
             (7, 1.5, 3, [4, 5, 9999]),
-            (300, 1.5, 0, [265, 266, 500]),
+            (300, 1.5, 0, [264, 265, 266, 500]),
             (300, 2.5, 3, [219, 220, 437]),
             (2**16 + 1, 2.5, 1, [88, 89]),
         ],
@@ -249,14 +270,17 @@ class TestBalanceStreams:
         pairs = dc.iid_degree_sequence(n, spec, spec, seed)
         want, hit = _naive_balance(pairs, spec, spec, seed, max(budgets))
         for budget in budgets:
-            if hit <= budget:
-                got, attempts = dc.balance_iid_sequence(pairs, spec, spec, seed, budget)
-                assert attempts == hit
-                assert np.array_equal(got, want)
-            else:
-                with pytest.raises(BalanceFailedError) as exc:
-                    dc.balance_iid_sequence(pairs, spec, spec, seed, budget)
-                assert exc.value.attempts == budget
+            for workers in WORKERS:
+                if hit <= budget:
+                    got, attempts = dc.balance_iid_sequence(
+                        pairs, spec, spec, seed, budget, _workers=workers
+                    )
+                    assert attempts == hit
+                    assert np.array_equal(got, want)
+                else:
+                    with pytest.raises(BalanceFailedError) as exc:
+                        dc.balance_iid_sequence(pairs, spec, spec, seed, budget, _workers=workers)
+                    assert exc.value.attempts == budget
 
     @pytest.mark.parametrize("n, budget", [(1, 3), (7, 10_000), (300, 500)])
     def test_exhausted_budget_matches_per_attempt_loop(self, n, budget):
@@ -264,9 +288,79 @@ class TestBalanceStreams:
         pairs = np.array([[2, 1]] * n)
         with pytest.raises(BalanceFailedError) as want:
             _naive_balance(pairs, out_spec, in_spec, 4, budget)
-        with pytest.raises(BalanceFailedError) as got:
-            dc.balance_iid_sequence(pairs, out_spec, in_spec, 4, budget)
-        assert got.value.attempts == want.value.attempts == budget
+        for workers in WORKERS:
+            with pytest.raises(BalanceFailedError) as got:
+                dc.balance_iid_sequence(pairs, out_spec, in_spec, 4, budget, _workers=workers)
+            assert got.value.attempts == want.value.attempts == budget
+
+    @pytest.mark.parametrize("k", [0, 1, 1000, 65 * 1000, 2**16 + 1, 4097])
+    def test_advance_skips_doubles(self, k):
+        # a worker reaches its first attempt with PCG64.advance: one 64-bit
+        # output per float64 drawn by Generator.random
+        ss = np.random.SeedSequence(11)
+        drawn = np.random.Generator(np.random.PCG64(ss))
+        drawn.random(k)
+        bits = np.random.PCG64(ss)
+        bits.advance(k)
+        assert np.array_equal(np.random.Generator(bits).random(16), drawn.random(16))
+
+    @pytest.mark.parametrize(
+        "fail_on_main, exc", [(False, MemoryError("fill")), (True, KeyboardInterrupt("fill"))]
+    )
+    def test_worker_failure_raised_in_caller(self, monkeypatch, fail_on_main, exc):
+        # every fill on one side of the main thread raises; the draws never
+        # balance, so the other worker would run ~5,300 blocks if not stopped
+        fill = config_model._pareto_floor
+        other_fills = []
+
+        def failing(spec, rng, buf):
+            if (threading.current_thread() is threading.main_thread()) == fail_on_main:
+                raise exc
+            other_fills.append(1)
+            return fill(spec, rng, buf)
+
+        monkeypatch.setattr(config_model, "_pareto_floor", failing)
+        out_spec, in_spec = PowerLawSpec(1e9, 2), PowerLawSpec(1e9, 1)
+        pairs = np.array([[2, 1]] * 7)
+        threads = threading.active_count()
+        with pytest.raises(type(exc), match="fill"):
+            dc.balance_iid_sequence(pairs, out_spec, in_spec, 4, 10**8, _workers=2)
+        assert threading.active_count() == threads
+        assert len(other_fills) < 1000
+
+    def test_lowest_hit_wins_when_the_second_worker_hits_first(self, monkeypatch):
+        # at n=1000 the streams of seed 24 balance on attempts 678 (block 10,
+        # first worker) and 721 (block 11, second worker); slowed fills on the
+        # main thread let the second worker confirm its hit first
+        fill = config_model._pareto_floor
+
+        def slow_on_main(spec, rng, buf):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
+            return fill(spec, rng, buf)
+
+        monkeypatch.setattr(config_model, "_pareto_floor", slow_on_main)
+        spec = PowerLawSpec(1.5, 1)
+        pairs = np.array([[1, 0]] * 1000)
+        want, hit = _naive_balance(pairs, spec, spec, 24, 800)
+        assert hit == 678
+        got, attempts = dc.balance_iid_sequence(pairs, spec, spec, 24, 800, _workers=2)
+        assert attempts == hit and np.array_equal(got, want)
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # workers read each other's hits between blocks; a lost or misordered
+        # hit would change the pair or the count
+        spec = PowerLawSpec(1.5, 1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(4):
+                pairs = dc.iid_degree_sequence(1000, spec, spec, seed)
+                want = _naive_balance(pairs, spec, spec, seed, 5000)
+                got = dc.balance_iid_sequence(pairs, spec, spec, seed, 5000, _workers=4)
+                assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestRandomizationStudy:

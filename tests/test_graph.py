@@ -184,6 +184,18 @@ def test_fast_path_leaves_what_it_cannot_prove_to_the_loop(data):
     assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
 
 
+@pytest.mark.parametrize("edges", [4, 5, 40])
+def test_fast_path_ids_near_the_packed_key_limit(edges):
+    # 18-digit ids just below 10**18: the packed key id * ids_count + position
+    # fits int64 for up to 9 ids; beyond that the remap sorts the ids instead
+    rng = np.random.default_rng(edges)
+    ids = (10**18 - 1 - rng.integers(0, 3, 2 * edges)).tolist()
+    data = "".join(f"{s} {t}\n" for s, t in zip(ids[0::2], ids[1::2])).encode()
+    fast = _parse_fast(data)
+    assert fast is not None
+    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+
+
 class TestWriteEdgeList:
     @pytest.mark.parametrize("m", [0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
     def test_bytes_match_one_line_per_edge(self, m, tmp_path):
@@ -222,7 +234,7 @@ def test_edge_list_io_memory(tmp_path):
     loop, loop_peak = _traced_peak(_parse_lines, data)
     # no int64 temporary per input byte: the fast path needs no more than the loop
     assert fast_peak <= loop_peak
-    # and at this size the unstable sort mixes the positions of repeated ids
+    # and at this size ids repeat, so each value's first position decides its id
     assert fast.graph == loop.graph
     assert fast.external_ids.tolist() == loop.external_ids.tolist()
 
