@@ -7,7 +7,6 @@ collapses parallel edges; the resulting graph is always simple.
 """
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -142,8 +141,7 @@ def balance_iid_sequence(
         return pairs, 0
     n = pairs.shape[0]
     rows = max(1, min(max_attempts, 2**16 // n))
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(_workers or min(2, cores), -(-max_attempts // rows))
+    workers = min(_workers or measures._core_count(), -(-max_attempts // rows))
     seeds = np.random.SeedSequence(seed).spawn(2)
     # the calling thread allocates every block: a thread that allocates its
     # own gets its own malloc arena, which raised the peak RSS of `generate

@@ -14,7 +14,8 @@ layers:
 Each measure of the row reads these:
 
 * pearson takes exact sums over the edge series itself;
-* spearman_uniform ranks the codes once per tie-break seed;
+* spearman_uniform ranks the codes once per tie-break seed, from 2^14
+  edges on each side on its own thread when the process may use two cores;
 * spearman_average gathers the doubled average ranks per distinct degree,
   computed from the counts, back by code and takes exact sums of them;
 * kendall counts concordant and discordant pairs on the joint table
@@ -27,6 +28,9 @@ and reproduce closed forms to float precision.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -35,7 +39,8 @@ from ._exact import exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents,
                     edge_degree_pairs, vertex_moment_sum)
-from .ranking import _codes_and_counts, _doubled_ranks, average_ranks_doubled, permutation_ranks
+from .ranking import (_codes_and_counts, _doubled_ranks, _reflected_permutation_ranks, average_ranks_doubled,
+                      permutation_ranks)
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
@@ -43,6 +48,18 @@ MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 # 370 bytes each, before any work runs, and numpy cannot spawn 2**63 at all.
 # The budget turns a count that cannot be spawned into an input error.
 MAX_REPETITIONS = 2**20
+
+
+def _core_count() -> int:
+    """Threads a loop over independent seeded units starts: one per core the
+    process may run on, at most two."""
+    return min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+
+
+# A side of fewer edges ranks in well under a millisecond, mostly in the
+# interpreter, where a second thread only waits for the lock: at m = 256 two
+# threads took twice as long as one, at m = 2^14 and above 0.65-0.85 times.
+_THREADED_EDGES = 2**14
 
 
 def _check_repetitions(what: str, count: int, least: int) -> None:
@@ -115,7 +132,8 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
 
     Two independent streams are derived from the seed: child 0 breaks ties on
     the source side, child 1 on the target side. That assignment is part of
-    the reproducibility contract.
+    the reproducibility contract. The two sides are ranked on up to two
+    threads; the value does not depend on their number.
     """
     return _spearman_uniform_seeded(*_sides(edge_degree_pairs(g, t)), [np.random.SeedSequence(seed)])[0]
 
@@ -124,15 +142,76 @@ def _sides(p: PairSeries) -> tuple[Side, Side]:
     return _codes_and_counts(p.x), _codes_and_counts(p.y)
 
 
-def _spearman_uniform_seeded(sx: Side, sy: Side, seeds: list[np.random.SeedSequence]) -> list[float]:
-    """spearman_uniform of a pair series once per seed, from its sides."""
+def _uniform_ranks(codes: np.ndarray, ss: np.random.SeedSequence) -> np.ndarray:
+    """int32 descending ranks of codes, ties ordered by the draws of ss."""
+    return _reflected_permutation_ranks(codes, np.random.default_rng(ss).random(codes.size), np.int32)
+
+
+def _spearman_uniform_seeded(
+    sx: Side, sy: Side, seeds: list[np.random.SeedSequence], *, _workers: int | None = None
+) -> list[float]:
+    """spearman_uniform of a pair series once per seed, from its sides.
+
+    The calling thread spawns each seed's (source, target) children, in seed
+    order, max(1, 2**16 // m) seeds at a time. When m >= 2^14 and the process
+    may run on two cores, one helper thread ranks each batch's target side
+    while the calling thread ranks its source side and forms the rhos. The
+    next batch is handed out just before the current one's target ranks are
+    taken, so the helper runs at most one batch ahead and about two batches
+    of ranks are alive at once. An exception in either thread is raised here
+    once the helper has stopped. The rhos come back in seed order, and no
+    value depends on the number of threads.
+    """
     m = _pair_count(sx[0].size, 2, "spearman")
-    rhos = []
-    for ss in seeds:
-        src_ss, tgt_ss = ss.spawn(2)
-        rx = permutation_ranks(sx[0], "uniform_random", np.random.default_rng(src_ss))
-        ry = permutation_ranks(sy[0], "uniform_random", np.random.default_rng(tgt_ss))
-        rhos.append(_rho_from_permutation_ranks(rx, ry, m))
+    step = max(1, 2**16 // m)
+    (cx, _), (cy, _) = sx, sy
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+    # never full: batch k is handed out only after batch k - 2 has been taken
+    ranked: queue.Queue = queue.Queue(maxsize=2)
+
+    def rank_targets(children: list[np.random.SeedSequence]) -> list[np.ndarray]:
+        # calls no public function: perfbench traces those on one span stack
+        return [_uniform_ranks(cy, ss) for ss in children]
+
+    def helper() -> None:
+        try:
+            for children in iter(tasks.get, None):
+                ranked.put(rank_targets(children))
+        except BaseException as exc:
+            # raised again by the caller
+            ranked.put(exc)
+
+    workers = _workers or (_core_count() if m >= _THREADED_EDGES else 1)
+    thread = threading.Thread(target=helper, daemon=True) if workers > 1 else None
+
+    def spawn(start: int) -> list[np.random.SeedSequence]:
+        """Spawn the children of the batch at start, hand its target
+        children out and return its source children."""
+        pairs = [ss.spawn(2) for ss in seeds[start : start + step]]
+        if pairs:
+            targets = [tgt for _, tgt in pairs]
+            if thread is None:
+                ranked.put(rank_targets(targets))
+            else:
+                tasks.put(targets)
+        return [src for src, _ in pairs]
+
+    rhos: list[float] = []
+    if thread is not None:
+        thread.start()
+    try:
+        sources = spawn(0)
+        for start in range(0, len(seeds), step):
+            rx = [_uniform_ranks(cx, ss) for ss in sources]
+            sources = spawn(start + step)
+            ry = ranked.get()
+            if isinstance(ry, BaseException):
+                raise ry
+            rhos.extend(_rho_from_permutation_ranks(a, b, m) for a, b in zip(rx, ry))
+    finally:
+        if thread is not None:
+            tasks.put(None)
+            thread.join()
     return rhos
 
 
@@ -275,7 +354,8 @@ def row_values(
     "degenerate_size". spearman_uniform is the mean over rho_reps tie-break
     instances on children of ss. They are spawned before anything can
     raise, so the streams of later cells that share ss do not depend on
-    whether this one is defined.
+    whether this one is defined. Its two sides are ranked on up to two
+    threads (see _spearman_uniform_seeded); no value depends on their number.
     """
     p = edge_degree_pairs(g, t, d)
     # pearson reads the series itself; every other measure reads the sides

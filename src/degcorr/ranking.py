@@ -24,7 +24,8 @@ When the values are small integers, such as the int16 dense codes that
 spearman_uniform and spearman_ranked pass, numpy radix-sorts them in O(n). The two sorts give
 the lexsort order whenever the tiebreaks are distinct. An unstable sort may
 reorder equal tiebreaks, so if the sorted tiebreak has a zero gap the
-ranking falls back to the lexsort itself.
+ranking falls back to the lexsort itself. The public functions return int64
+ranks; spearman_uniform keeps its ranks in int32.
 """
 from __future__ import annotations
 
@@ -89,18 +90,31 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return average_ranks_doubled(values) / 2.0
 
 
-def _reflected_permutation_ranks(values: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
-    """Descending ranks from the ascending (value, tiebreak) order."""
+def _reflected_permutation_ranks(
+    values: np.ndarray, tiebreak: np.ndarray, dtype: type = np.int64
+) -> np.ndarray:
+    """Descending ranks from the ascending (value, tiebreak) order.
+
+    dtype must hold the series length; spearman_uniform passes int32, which
+    holds every m <= graph.MAX_EDGES = 2^28.
+    """
     values = np.asarray(values)
     m = values.size
     o = np.argsort(tiebreak)
-    ordered = tiebreak[o]
-    if np.any(ordered[1:] == ordered[:-1]):
+    # equal neighbours in the sorted tiebreak, gathered 4096 values (and the
+    # next one) at a time rather than in one series-sized copy
+    blocks = (tiebreak[o[j : j + 4097]] for j in range(0, m, 4096))
+    if any((b[1:] == b[:-1]).any() for b in blocks):
+        del o
         order = np.lexsort((tiebreak, values))
     else:
+        # frees the draws before the second sort when the caller passed them
+        # as a temporary, as spearman_uniform does
+        del tiebreak
         order = o[np.argsort(values[o], kind="stable")]
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(m, 0, -1)
+        del o
+    ranks = np.empty(m, dtype=dtype)
+    ranks[order] = np.arange(m, 0, -1, dtype=dtype)
     return ranks
 
 

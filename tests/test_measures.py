@@ -1,4 +1,10 @@
+import functools
+import inspect
 import math
+import os
+import queue
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +60,22 @@ def lexsort_rho(p, ss):
     src, tgt = (np.random.default_rng(c).random(m) for c in ss.spawn(2))
     s = int(lexsort_ranks(p.x, src) @ lexsort_ranks(p.y, tgt))
     return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
+
+
+def tied_series(m, seed=0):
+    """A pair series of m edges with about sqrt(m) distinct values per side."""
+    rng = np.random.default_rng(seed)
+    k = math.isqrt(m) + 1
+    return dc.PairSeries(rng.integers(0, k, m), rng.integers(0, k, m))
+
+
+def rhos_by_workers(p, reps, seed=41):
+    """_spearman_uniform_seeded of p on one and on two workers, each on
+    fresh children of seed."""
+    return [
+        _spearman_uniform_seeded(*_sides(p), np.random.SeedSequence(seed).spawn(reps), _workers=w)
+        for w in (1, 2)
+    ]
 
 
 def measure_defined(fn, *args):
@@ -250,6 +272,181 @@ class TestSpearmanUniform:
         assert sx[0].dtype == np.intp and sy[0].dtype == np.int16
         got = _spearman_uniform_seeded(sx, sy, np.random.SeedSequence(3).spawn(3))
         assert got == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(3).spawn(3)]
+
+
+class TestSpearmanUniformThreads:
+    def test_golden_rhos_do_not_depend_on_the_thread_count(self):
+        for g in golden_graphs():
+            for t in dc.ALL_TYPES:
+                p = dc.edge_degree_pairs(g, t)
+                if len(p) < 2:
+                    continue
+                for reps in (1, 2, 3, 5):
+                    one, two = rhos_by_workers(p, reps)
+                    assert one == two
+                    assert one == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(reps)]
+
+    @pytest.mark.parametrize(
+        "m, reps, batches",
+        [(2**16, 3, [1, 1, 1]), (2**16 + 7, 2, [1, 1]), (1000, 200, [65, 65, 65, 5]), (100, 1400, [655, 655, 90])],
+    )
+    def test_batches_do_not_change_the_rhos(self, monkeypatch, m, reps, batches):
+        # one seed per handoff from m = 2^16 on, 2^16 // m seeds below
+        handed = []
+
+        class Recording(queue.SimpleQueue):
+            def put(self, item, *args):
+                if item is not None:
+                    handed.append(len(item))
+                super().put(item, *args)
+
+        monkeypatch.setattr(queue, "SimpleQueue", Recording)
+        p = tied_series(m)
+        seeds = np.random.SeedSequence(5).spawn(reps)
+        one, two = rhos_by_workers(p, reps, 5)
+        assert handed == batches
+        assert one == two == [lexsort_rho(p, ss) for ss in seeds]
+
+    def test_tied_draws_take_the_lexsort_in_the_helper(self, monkeypatch):
+        # draws on a grid of 1/64 tie, so both sides fall back to np.lexsort
+        default_rng, lexsort = np.random.default_rng, np.lexsort
+        lexsort_threads = []
+
+        class GridDraws:
+            def __init__(self, ss):
+                self.rng = default_rng(ss)
+
+            def random(self, m):
+                return np.floor(self.rng.random(m) * 64) / 64
+
+        def spy(keys):
+            lexsort_threads.append(threading.current_thread())
+            return lexsort(keys)
+
+        p = tied_series(500)
+        monkeypatch.setattr(np.random, "default_rng", GridDraws)
+        monkeypatch.setattr(np, "lexsort", spy)
+        one, two = rhos_by_workers(p, 4)
+        want = [lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(4)]
+        monkeypatch.undo()
+        assert one == two == want
+        assert any(t is not threading.main_thread() for t in lexsort_threads)
+
+    @pytest.mark.parametrize(
+        "fail_on_main, exc", [(False, MemoryError("rank")), (True, KeyboardInterrupt("rank"))]
+    )
+    def test_failure_raised_in_caller(self, monkeypatch, fail_on_main, exc):
+        # 1000 seeds of m = 1000 are 16 batches of 65; the thread that does
+        # not fail ranks at most the first batch. The call runs on its own
+        # thread, so that a lost exception fails the join instead of hanging.
+        rank = measures._reflected_permutation_ranks
+        other_ranks = []
+        raised = []
+
+        def failing(values, tiebreak, dtype=np.int64):
+            if (threading.current_thread() is caller) == fail_on_main:
+                raise exc
+            other_ranks.append(1)
+            return rank(values, tiebreak, dtype)
+
+        def call():
+            try:
+                _spearman_uniform_seeded(*sides, np.random.SeedSequence(0).spawn(1000), _workers=2)
+            except BaseException as got:
+                raised.append(got)
+
+        monkeypatch.setattr(measures, "_reflected_permutation_ranks", failing)
+        sides = _sides(tied_series(1000))
+        threads = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == [exc]
+        assert threading.active_count() == threads
+        assert len(other_ranks) <= 65
+
+    def test_helper_calls_no_public_function(self, monkeypatch):
+        # perfbench's tracer wraps every public function and keeps one span
+        # stack with no lock; record any call made off the main thread
+        off_main = []
+
+        def guarded(fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(f"{fn.__module__}.{fn.__name__}")
+                return fn(*args, **kwargs)
+
+            return call
+
+        modules = [mod for name, mod in sys.modules.items() if name == "degcorr" or name.startswith("degcorr.")]
+        wrappers = {
+            id(value): (value, guarded(value))
+            for mod in modules
+            for name, value in vars(mod).items()
+            if inspect.isfunction(value) and value.__module__ == mod.__name__ and not name.startswith("_")
+        }
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                hit = wrappers.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(mod, name, hit[1])
+        rank = measures._reflected_permutation_ranks
+        helper_ranks = []
+
+        def spy(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helper_ranks.append(1)
+            return rank(*args)
+
+        monkeypatch.setattr(measures, "_reflected_permutation_ranks", spy)
+        monkeypatch.setattr(
+            measures, "_spearman_uniform_seeded", functools.partial(measures._spearman_uniform_seeded, _workers=2)
+        )
+        g = dc.load_edge_list(str(GOLDEN / "ecm_2000.txt")).graph
+        assert report.compute_report is not compute_report
+        report.compute_report(g, "ecm_2000")
+        config_model.randomization_study(g, 3, 0)
+        # four rows of three reps, then 3 draws of four rows of three reps
+        assert len(helper_ranks) == 4 * 3 + 3 * 4 * 3
+        assert off_main == []
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # the helper and the caller hand batches back and forth; a lost or
+        # misordered batch would change the rhos
+        p = tied_series(1000, 3)
+        want = rhos_by_workers(p, 300, 3)[0]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert rhos_by_workers(p, 300, 3)[1] == want
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("cores, m, started", [(2, 2**14, 1), (2, 2**14 - 1, 0), (1, 2**14, 0)])
+    def test_helper_starts_with_two_cores_from_2_14_edges(self, monkeypatch, cores, m, started):
+        threads = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(measures, "_core_count", lambda: cores)
+        monkeypatch.setattr(threading, "Thread", Spy)
+        p = tied_series(m)
+        got = _spearman_uniform_seeded(*_sides(p), np.random.SeedSequence(2).spawn(2))
+        assert len(threads) == started
+        assert got == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(2).spawn(2)]
+
+    @pytest.mark.parametrize("cpus, cores", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
+    def test_core_count(self, monkeypatch, cpus, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert measures._core_count() == cores
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert measures._core_count() == 1
 
 
 class TestSpearmanRanked:

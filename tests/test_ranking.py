@@ -9,7 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 import degcorr as dc
 from degcorr.measures import concordance_counts
-from degcorr.ranking import _codes_and_counts, average_ranks, average_ranks_doubled, permutation_ranks, rank_with_ties
+from degcorr.ranking import (
+    _codes_and_counts,
+    _reflected_permutation_ranks,
+    average_ranks,
+    average_ranks_doubled,
+    permutation_ranks,
+    rank_with_ties,
+)
 
 from helpers import brute_concordance
 
@@ -144,6 +151,41 @@ def test_tied_draws_take_the_lexsort(monkeypatch):
     monkeypatch.setattr(np, "lexsort", spy)
     permutation_ranks(values, "uniform_random", RepeatedDraws(np.arange(values.size) / values.size))
     assert calls == [2]
+
+
+@pytest.mark.parametrize("tied_at", [1, 4095, 4096, 4097, 8192, 9999])
+def test_tie_anywhere_in_the_sorted_draws_takes_the_lexsort(monkeypatch, tied_at):
+    # the sorted draws are read 4096 at a time, each slice with the next
+    # value; one tie at sorted positions tied_at - 1 and tied_at is found
+    # across every slice boundary
+    rng = np.random.default_rng(8)
+    values = rng.integers(0, 5, 10_000).astype(np.int16)
+    draws = rng.permutation(10_000) / 10_000
+    draws[draws == tied_at / 10_000] = (tied_at - 1) / 10_000
+    lexsort = np.lexsort
+    calls = []
+
+    def spy(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    got = permutation_ranks(values, "uniform_random", RepeatedDraws(draws))
+    assert calls == [2]
+    monkeypatch.undo()
+    assert got.tolist() == lexsort_ranks(values, draws).tolist()
+
+
+def test_permutation_ranks_stay_int64():
+    values = np.array([3, 1, 3, 2], dtype=np.int16)
+    for policy in ("by_index", "by_reverse_index", "uniform_random"):
+        assert permutation_ranks(values, policy, np.random.default_rng(0)).dtype == np.int64
+    # spearman_uniform's int32 ranks are the same permutation
+    draws = np.random.default_rng(1).random(5000)
+    codes = np.random.default_rng(2).integers(0, 9, 5000).astype(np.int16)
+    narrow = _reflected_permutation_ranks(codes, draws, np.int32)
+    assert narrow.dtype == np.int32
+    assert narrow.tolist() == _reflected_permutation_ranks(codes, draws).tolist()
 
 
 SPECIAL_FLOATS = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.5]
