@@ -22,7 +22,8 @@ def _exact_sum(factors: list[tuple[np.ndarray, int]]) -> int:
     size = factors[0][0].size
     bound = 1  # the largest possible |product|
     for a, k in factors:
-        bound *= int(np.abs(a).max(initial=0)) ** k
+        # from the extremes as Python ints: np.abs copies and wraps at -2**63
+        bound *= max(int(a.max(initial=0)), -int(a.min(initial=0))) ** k
     if bound >= _INT64_SAFE:
         big = np.ones(size, dtype=object)
         for a, k in factors:
@@ -30,9 +31,9 @@ def _exact_sum(factors: list[tuple[np.ndarray, int]]) -> int:
         return int(big.sum())
     prod = np.ones(size, dtype=np.int64)
     for a, k in factors:
-        a = a.astype(np.int64, copy=False)
         for _ in range(k):
-            prod *= a
+            # an int64 loop casts a in chunks: no widened copy, no uint64 -> float64
+            np.multiply(prod, a, out=prod, dtype=np.int64, casting="unsafe")
     # each block sum is at most block * bound <= 2**62
     starts = np.arange(0, size, _INT64_SAFE // max(bound, 1))
     return int(np.add.reduceat(prod, starts).astype(object).sum())

@@ -14,8 +14,9 @@ layers:
 Each measure of the row reads these:
 
 * pearson takes exact sums over the edge series itself;
-* spearman_uniform ranks the codes once per tie-break seed, from 2^14
-  edges on each side on its own thread when the process may use two cores;
+* spearman_uniform ranks each side by one sort of packed (code, draw,
+  index) keys per tie-break seed (see ranking), from 2^14 edges on its
+  own thread when the process may use two cores;
 * spearman_average gathers the doubled average ranks per distinct degree,
   computed from the counts, back by code and takes exact sums of them;
 * kendall counts concordant and discordant pairs on the joint table
@@ -39,8 +40,8 @@ from ._exact import exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents,
                     edge_degree_pairs, vertex_moment_sum)
-from .ranking import (_codes_and_counts, _doubled_ranks, _reflected_permutation_ranks, average_ranks_doubled,
-                      permutation_ranks)
+from .ranking import (_codes_and_counts, _doubled_ranks, _key_bits, _packed_ranks, _rank_buffers,
+                      average_ranks_doubled, permutation_ranks)
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
@@ -142,11 +143,6 @@ def _sides(p: PairSeries) -> tuple[Side, Side]:
     return _codes_and_counts(p.x), _codes_and_counts(p.y)
 
 
-def _uniform_ranks(codes: np.ndarray, ss: np.random.SeedSequence) -> np.ndarray:
-    """int32 descending ranks of codes, ties ordered by the draws of ss."""
-    return _reflected_permutation_ranks(codes, np.random.default_rng(ss).random(codes.size), np.int32)
-
-
 def _spearman_uniform_seeded(
     sx: Side, sy: Side, seeds: list[np.random.SeedSequence], *, _workers: int | None = None
 ) -> list[float]:
@@ -165,13 +161,20 @@ def _spearman_uniform_seeded(
     m = _pair_count(sx[0].size, 2, "spearman")
     step = max(1, 2**16 // m)
     (cx, _), (cy, _) = sx, sy
+    bx, by = _key_bits(cx), _key_bits(cy)
+    workers = _workers or (_core_count() if m >= _THREADED_EDGES else 1)
+    # allocated on the calling thread, so that no helper grows a malloc arena;
+    # each thread's draw, key and chunk buffers serve every seed
+    desc = np.arange(m, 0, -1, dtype=np.int32)
+    own = _rank_buffers(m)
+    theirs = _rank_buffers(m) if workers > 1 else own
     tasks: queue.SimpleQueue = queue.SimpleQueue()
     # never full: batch k is handed out only after batch k - 2 has been taken
     ranked: queue.Queue = queue.Queue(maxsize=2)
 
     def rank_targets(children: list[np.random.SeedSequence]) -> list[np.ndarray]:
         # calls no public function: perfbench traces those on one span stack
-        return [_uniform_ranks(cy, ss) for ss in children]
+        return [_packed_ranks(cy, by, np.random.default_rng(ss), theirs, desc) for ss in children]
 
     def helper() -> None:
         try:
@@ -181,7 +184,6 @@ def _spearman_uniform_seeded(
             # raised again by the caller
             ranked.put(exc)
 
-    workers = _workers or (_core_count() if m >= _THREADED_EDGES else 1)
     thread = threading.Thread(target=helper, daemon=True) if workers > 1 else None
 
     def spawn(start: int) -> list[np.random.SeedSequence]:
@@ -202,7 +204,7 @@ def _spearman_uniform_seeded(
     try:
         sources = spawn(0)
         for start in range(0, len(seeds), step):
-            rx = [_uniform_ranks(cx, ss) for ss in sources]
+            rx = [_packed_ranks(cx, bx, np.random.default_rng(ss), own, desc) for ss in sources]
             sources = spawn(start + step)
             ry = ranked.get()
             if isinstance(ry, BaseException):

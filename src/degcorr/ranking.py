@@ -16,16 +16,16 @@ Tie policies:
 
 Every policy preserves the total rank sum n*(n+1)/2.
 
-A permutation policy orders the series by (value, tiebreak) ascending,
-which ``np.lexsort((tiebreak, values))`` states directly. The ranking sorts
-twice instead: an unstable argsort of the tiebreak, then a stable argsort of
-the values taken in that order, so equal values keep their tiebreak order.
-When the values are small integers, such as the int16 dense codes that
-spearman_uniform and spearman_ranked pass, numpy radix-sorts them in O(n). The two sorts give
-the lexsort order whenever the tiebreaks are distinct. An unstable sort may
-reorder equal tiebreaks, so if the sorted tiebreak has a zero gap the
-ranking falls back to the lexsort itself. The public functions return int64
-ranks; spearman_uniform keeps its ranks in int32.
+A permutation policy orders the series by (value, tiebreak) ascending, the
+order of ``np.lexsort((tiebreak, values))``, with one in-place sort of a
+uint64 key per value: from the high bits down, its dense code, the top db
+bits of its draw (a random() draw is exactly k / 2**53, so they carry no
+rounding; by_index and by_reverse_index have none) and its index, from
+which the order is read. A run of neighbours whose keys differ only in the
+index is sorted again by the draws' other bits and the index, so the ranks
+are the lexsort's even for equal draws. A degree series leaves db >= 21,
+and such runs are rare. The public functions return int64 ranks;
+spearman_uniform keeps its ranks in int32.
 """
 from __future__ import annotations
 
@@ -43,11 +43,11 @@ def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     length, such as a degree series (a degree is at most m), are counted
     with one bincount of at most size + 1 bins. Their codes are int16
     whenever at most 2^15 values are distinct, so the highest code is 32767
-    and numpy radix-sorts them. Every degree series qualifies: the k
-    distinct positive degrees on one side belong to k distinct nodes, so
-    k(k+1)/2 <= m and a side has at most sqrt(2m) + 1 distinct values,
+    and takes at most 15 bits of a rank key. Every degree series qualifies:
+    the k distinct positive degrees on one side belong to k distinct nodes,
+    so k(k+1)/2 <= m and a side has at most sqrt(2m) + 1 distinct values,
     fewer than 2^15 for every m <= graph.MAX_EDGES = 2^28. With more
-    distinct values the codes stay intp; they rank the same, only slower.
+    distinct values the codes stay intp; they rank the same.
     Anything else (negative values, floats, a maximum above the size) takes
     np.unique, so no input asks for more bins than it has elements.
     """
@@ -90,32 +90,80 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return average_ranks_doubled(values) / 2.0
 
 
-def _reflected_permutation_ranks(
-    values: np.ndarray, tiebreak: np.ndarray, dtype: type = np.int64
-) -> np.ndarray:
-    """Descending ranks from the ascending (value, tiebreak) order.
+def _key_bits(codes: np.ndarray, draw_bits: int = 53) -> tuple[int, int]:
+    """(ib, db): a rank key holds code << (db + ib) | draw prefix << ib | index.
 
-    dtype must hold the series length; spearman_uniform passes int32, which
-    holds every m <= graph.MAX_EDGES = 2^28.
+    The index takes ib = (m - 1).bit_length() bits, and db <= draw_bits draw
+    bits lie between it and the code. A degree series leaves db >= 21 (codes
+    below 2^15, m <= 2^28). _reorder_runs needs 53 - db + ib <= 64.
     """
-    values = np.asarray(values)
-    m = values.size
-    o = np.argsort(tiebreak)
-    # equal neighbours in the sorted tiebreak, gathered 4096 values (and the
-    # next one) at a time rather than in one series-sized copy
-    blocks = (tiebreak[o[j : j + 4097]] for j in range(0, m, 4096))
-    if any((b[1:] == b[:-1]).any() for b in blocks):
-        del o
-        order = np.lexsort((tiebreak, values))
-    else:
-        # frees the draws before the second sort when the caller passed them
-        # as a temporary, as spearman_uniform does
-        del tiebreak
-        order = o[np.argsort(values[o], kind="stable")]
-        del o
-    ranks = np.empty(m, dtype=dtype)
-    ranks[order] = np.arange(m, 0, -1, dtype=dtype)
+    ib = (codes.size - 1).bit_length()
+    cb = int(codes.max(initial=0)).bit_length()
+    db = min(draw_bits, 64 - ib - cb)
+    if db < 0 or (draw_bits and 53 - db + ib > 64):
+        raise ValueError(f"{codes.size} values with {cb}-bit codes do not fit a 64-bit rank key")
+    return ib, db
+
+
+def _rank_buffers(m: int) -> tuple[np.ndarray, ...]:
+    """(draws, keys, scratch, index) for _packed_ranks: m zeroed float64
+    draws, m uint64 keys, and a chunk of up to 2^14 uint64 values and its
+    indices, in which the keys are built and their neighbours compared."""
+    chunk = min(max(m, 1), 2**14)
+    return np.zeros(m), np.empty(m, np.uint64), np.empty(chunk, np.uint64), np.arange(chunk, dtype=np.uint64)
+
+
+def _packed_ranks(
+    codes: np.ndarray, bits: tuple[int, int], rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray
+) -> np.ndarray:
+    """Descending ranks, in desc's dtype (desc is m, m - 1, ..., 1), in the
+    order of np.lexsort((draws, codes)), the draws being rng.random(m); with
+    no rng, db is 0 and the order is by (code, index). bits is
+    _key_bits(codes), and buffers, from _rank_buffers, are overwritten."""
+    ib, db = bits
+    draws, keys, scratch, index = buffers
+    if rng is not None:
+        rng.random(out=draws)
+    for j in range(0, keys.size, scratch.size):
+        part = keys[j : j + scratch.size]
+        chunk = scratch[: part.size]
+        # draw * 2**db = k * 2**(db - 53) exactly; the cast keeps k's top db bits
+        np.multiply(draws[j : j + part.size], 2.0**db, out=part, casting="unsafe")
+        np.left_shift(part, ib, out=part)
+        np.left_shift(codes[j : j + part.size], db + ib, out=chunk, dtype=np.uint64, casting="unsafe")
+        np.bitwise_or(chunk, index[: part.size], out=chunk)
+        np.bitwise_or(part, chunk, out=part)
+        if j:
+            part += j
+    keys.sort()
+    # Neighbours whose keys differ only in the index share (code, draw
+    # prefix); with no draw bits or all 53 of them they are in order already.
+    mask = (1 << ib) - 1
+    pairs = []
+    stop = keys.size - 1 if 0 < db < 53 else 0
+    for j in range(0, stop, scratch.size):
+        gap = scratch[: keys.size - 1 - j]
+        np.bitwise_xor(keys[j + 1 : j + 1 + gap.size], keys[j : j + gap.size], out=gap)
+        if gap.min() <= mask:
+            pairs.append(np.flatnonzero(gap <= mask) + j)
+    if pairs:
+        _reorder_runs(keys, np.concatenate(pairs), draws, ib, db)
+    np.bitwise_and(keys, mask, out=keys)
+    ranks = np.empty(keys.size, desc.dtype)
+    ranks[keys.view(np.int64)] = desc
     return ranks
+
+
+def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: int, db: int) -> None:
+    """Sort each run of keys that share (code, draw prefix) by (draw, index);
+    pairs holds, ascending, each p whose keys p and p + 1 share them. A run's
+    draws differ only in their low 53 - db bits, packed here with the index."""
+    mask = (1 << ib) - 1
+    for run in np.split(pairs, np.flatnonzero(np.diff(pairs) > 1) + 1):
+        seg = keys[run[0] : run[-1] + 2]
+        index = seg & mask
+        low = (draws[index] * 2.0**53).astype(np.uint64) & ((1 << (53 - db)) - 1)
+        seg[:] = np.sort(low << ib | index)
 
 
 def permutation_ranks(
@@ -125,18 +173,16 @@ def permutation_ranks(
 ) -> np.ndarray:
     """Integer ranks 1..n (a permutation), ties resolved per policy."""
     values = np.asarray(values)
-    m = values.size
-    if policy == "by_index":
-        tiebreak = np.arange(m)
-    elif policy == "by_reverse_index":
-        tiebreak = -np.arange(m)
-    elif policy == "uniform_random":
-        if rng is None:
-            raise ValueError("uniform_random ranking needs an rng")
-        tiebreak = rng.random(m)
-    else:
+    if policy not in ("by_index", "by_reverse_index", "uniform_random"):
         raise ValueError(f"unknown permutation tie policy {policy!r}")
-    return _reflected_permutation_ranks(values, tiebreak)
+    if policy == "uniform_random" and rng is None:
+        raise ValueError("uniform_random ranking needs an rng")
+    # by_reverse_index ranks the reversed series by index
+    step = -1 if policy == "by_reverse_index" else 1
+    codes = _codes_and_counts(values[::step])[0]
+    rng = rng if policy == "uniform_random" else None
+    bits = _key_bits(codes, 0 if rng is None else 53)
+    return _packed_ranks(codes, bits, rng, _rank_buffers(values.size), np.arange(values.size, 0, -1))[::step]
 
 
 def rank_with_ties(values, policy: TiePolicy, seed: int | None = None) -> np.ndarray:

@@ -3,6 +3,8 @@
 Every case runs all three public reductions. The oracles convert to Python
 ints element by element, so they cannot overflow.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -99,3 +101,46 @@ def test_large_array_matches_oracle(scale):
     a = rng.integers(0, 1000, 5000) * scale
     b = rng.integers(0, 1000, 5000)
     check_all(a, b, 2, 1)
+
+
+DTYPES = [np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@given(st.sampled_from(DTYPES), st.sampled_from(DTYPES), st.data())
+def test_every_integer_dtype_matches_python_ints(da, db, data):
+    # the dtype's extremes included: an unsigned 64-bit factor must neither
+    # wrap nor promote the products to float64
+    def values(dtype):
+        info = np.iinfo(dtype)
+        elements = st.one_of(st.sampled_from([info.min, info.max, 0, 1]), st.integers(info.min, info.max))
+        return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+    size = data.draw(st.integers(0, 30))
+    a, b = np.array(values(da), dtype=da), np.array(values(db), dtype=db)
+    assert exact_dot(a, b) == oracle(a, b, 1, 1)
+    for k in range(4):
+        assert exact_power_sum(a, k) == oracle(a, a, k, 0)
+
+
+def test_int64_minimum_is_no_small_factor():
+    # |-2**63| wraps to -2**63 in int64, which once made the bound negative
+    # and this product wrap to -2**63
+    low = arr([-(2**63)])
+    assert exact_dot(low, arr([-1])) == 2**63
+    check_all(low, arr([-1]), 1, 1)
+
+
+def test_int32_factors_are_not_widened_whole():
+    # the int64 product array is the one series-sized allocation; a widened
+    # copy of either int32 factor would add another 8 bytes per value
+    m = 2**20
+    a = np.arange(m, dtype=np.int32)
+    b = a[::-1].copy()
+    tracemalloc.start()
+    try:
+        got = exact_dot(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == oracle(a, b, 1, 1)
+    assert 8 * m <= peak < 8 * m + m

@@ -21,6 +21,7 @@ from degcorr import (
     config_model,
     graph,
     measures,
+    ranking,
     report,
 )
 from degcorr.measures import (
@@ -308,29 +309,35 @@ class TestSpearmanUniformThreads:
         assert one == two == [lexsort_rho(p, ss) for ss in seeds]
 
     def test_tied_draws_take_the_lexsort_in_the_helper(self, monkeypatch):
-        # draws on a grid of 1/64 tie, so both sides fall back to np.lexsort
-        default_rng, lexsort = np.random.default_rng, np.lexsort
-        lexsort_threads = []
+        # draws on a grid of 1/64 tie, so both sides' keys have runs that the
+        # fix-up orders like np.lexsort (5000 edges leave fewer than 53 draw
+        # bits in a key, so it runs)
+        default_rng, reorder = np.random.default_rng, ranking._reorder_runs
+        fix_up_threads = []
 
         class GridDraws:
             def __init__(self, ss):
                 self.rng = default_rng(ss)
 
-            def random(self, m):
-                return np.floor(self.rng.random(m) * 64) / 64
+            def random(self, m=None, out=None):
+                grid = np.floor(self.rng.random(m if out is None else out.size) * 64) / 64
+                if out is None:
+                    return grid
+                out[:] = grid
+                return out
 
-        def spy(keys):
-            lexsort_threads.append(threading.current_thread())
-            return lexsort(keys)
+        def spy(*args):
+            fix_up_threads.append(threading.current_thread())
+            return reorder(*args)
 
-        p = tied_series(500)
+        p = tied_series(5000)
         monkeypatch.setattr(np.random, "default_rng", GridDraws)
-        monkeypatch.setattr(np, "lexsort", spy)
+        monkeypatch.setattr(ranking, "_reorder_runs", spy)
         one, two = rhos_by_workers(p, 4)
         want = [lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(4)]
         monkeypatch.undo()
         assert one == two == want
-        assert any(t is not threading.main_thread() for t in lexsort_threads)
+        assert any(t is not threading.main_thread() for t in fix_up_threads)
 
     @pytest.mark.parametrize(
         "fail_on_main, exc", [(False, MemoryError("rank")), (True, KeyboardInterrupt("rank"))]
@@ -339,15 +346,15 @@ class TestSpearmanUniformThreads:
         # 1000 seeds of m = 1000 are 16 batches of 65; the thread that does
         # not fail ranks at most the first batch. The call runs on its own
         # thread, so that a lost exception fails the join instead of hanging.
-        rank = measures._reflected_permutation_ranks
+        rank = measures._packed_ranks
         other_ranks = []
         raised = []
 
-        def failing(values, tiebreak, dtype=np.int64):
+        def failing(*args):
             if (threading.current_thread() is caller) == fail_on_main:
                 raise exc
             other_ranks.append(1)
-            return rank(values, tiebreak, dtype)
+            return rank(*args)
 
         def call():
             try:
@@ -355,7 +362,7 @@ class TestSpearmanUniformThreads:
             except BaseException as got:
                 raised.append(got)
 
-        monkeypatch.setattr(measures, "_reflected_permutation_ranks", failing)
+        monkeypatch.setattr(measures, "_packed_ranks", failing)
         sides = _sides(tied_series(1000))
         threads = threading.active_count()
         caller = threading.Thread(target=call, daemon=True)
@@ -392,7 +399,7 @@ class TestSpearmanUniformThreads:
                 hit = wrappers.get(id(value))
                 if hit is not None and hit[0] is value:
                     monkeypatch.setattr(mod, name, hit[1])
-        rank = measures._reflected_permutation_ranks
+        rank = measures._packed_ranks
         helper_ranks = []
 
         def spy(*args):
@@ -400,7 +407,7 @@ class TestSpearmanUniformThreads:
                 helper_ranks.append(1)
             return rank(*args)
 
-        monkeypatch.setattr(measures, "_reflected_permutation_ranks", spy)
+        monkeypatch.setattr(measures, "_packed_ranks", spy)
         monkeypatch.setattr(
             measures, "_spearman_uniform_seeded", functools.partial(measures._spearman_uniform_seeded, _workers=2)
         )

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import degcorr as dc
+from degcorr import ranking
 from degcorr.measures import concordance_counts
 from degcorr.ranking import (
     _codes_and_counts,
-    _reflected_permutation_ranks,
+    _key_bits,
+    _packed_ranks,
+    _rank_buffers,
     average_ranks,
     average_ranks_doubled,
     permutation_ranks,
@@ -125,55 +128,64 @@ class RepeatedDraws:
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
 
-    def random(self, m):
-        assert m == self.draws.size
-        return self.draws.copy()
+    def random(self, m=None, out=None):
+        if out is None:
+            assert m == self.draws.size
+            return self.draws.copy()
+        out[:] = self.draws
+        return out
+
+
+def spy_runs(monkeypatch):
+    """Record the pairs handed to ranking._reorder_runs."""
+    reorder = ranking._reorder_runs
+    calls = []
+
+    def spy(keys, pairs, *args):
+        calls.append(pairs.tolist())
+        return reorder(keys, pairs, *args)
+
+    monkeypatch.setattr(ranking, "_reorder_runs", spy)
+    return calls
 
 
 def test_tied_draws_take_the_lexsort(monkeypatch):
     # 0.5 repeats inside the tie group of 3s, 0.25 across the groups of 1
-    # and 2; an unstable sort of the draws may swap either pair
-    values = np.array([3, 1, 3, 2, 3, 1, 2, 3, 1, 3] * 4)
-    draws = np.array([0.5, 0.25, 0.5, 0.25, 0.75, 0.125, 0.625, 0.5, 0.875, 0.375] * 4)
-    lexsort = np.lexsort
-    calls = []
-
-    def spy(keys):
-        calls.append(len(keys))
-        return lexsort(keys)
-
-    monkeypatch.setattr(np, "lexsort", spy)
+    # and 2; the equal draws of one value share a key prefix, and the
+    # fix-up orders them (4000 values leave 50 draw bits, so it runs)
+    values = np.array([3, 1, 3, 2, 3, 1, 2, 3, 1, 3] * 400)
+    draws = np.array([0.5, 0.25, 0.5, 0.25, 0.75, 0.125, 0.625, 0.5, 0.875, 0.375] * 400)
+    calls = spy_runs(monkeypatch)
     got = permutation_ranks(values, "uniform_random", RepeatedDraws(draws))
-    assert calls == [2]
-    monkeypatch.undo()
+    assert len(calls) == 1
     assert got.tolist() == lexsort_ranks(values, draws).tolist()
-    # distinct draws never reach the lexsort
-    monkeypatch.setattr(np, "lexsort", spy)
+    # distinct draws need no fix-up
     permutation_ranks(values, "uniform_random", RepeatedDraws(np.arange(values.size) / values.size))
-    assert calls == [2]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("tied_at", [1, 4095, 4096, 4097, 8192, 9999])
 def test_tie_anywhere_in_the_sorted_draws_takes_the_lexsort(monkeypatch, tied_at):
-    # the sorted draws are read 4096 at a time, each slice with the next
-    # value; one tie at sorted positions tied_at - 1 and tied_at is found
-    # across every slice boundary
+    # with one value the sorted keys follow the draws; the keys are built
+    # and their neighbours compared 4096 at a time here, and the one tie, at
+    # sorted positions tied_at - 1 and tied_at, is found across every chunk
+    # boundary
     rng = np.random.default_rng(8)
-    values = rng.integers(0, 5, 10_000).astype(np.int16)
+    values = np.full(10_000, 7, dtype=np.int16)
     draws = rng.permutation(10_000) / 10_000
     draws[draws == tied_at / 10_000] = (tied_at - 1) / 10_000
-    lexsort = np.lexsort
-    calls = []
-
-    def spy(keys):
-        calls.append(len(keys))
-        return lexsort(keys)
-
-    monkeypatch.setattr(np, "lexsort", spy)
-    got = permutation_ranks(values, "uniform_random", RepeatedDraws(draws))
-    assert calls == [2]
-    monkeypatch.undo()
+    calls = spy_runs(monkeypatch)
+    buffers = _rank_buffers(values.size)[:2] + (np.empty(4096, np.uint64), np.arange(4096, dtype=np.uint64))
+    got = _packed_ranks(values, _key_bits(values), RepeatedDraws(draws), buffers, np.arange(10_000, 0, -1))
+    assert calls == [[tied_at - 1]]
     assert got.tolist() == lexsort_ranks(values, draws).tolist()
+
+
+def draw_ranks(codes, draws, draw_bits=53, dtype=np.int64):
+    """_packed_ranks of codes and draws, in fresh buffers."""
+    desc = np.arange(codes.size, 0, -1, dtype=dtype)
+    bits = _key_bits(codes, draw_bits)
+    return _packed_ranks(codes, bits, RepeatedDraws(draws), _rank_buffers(codes.size), desc)
 
 
 def test_permutation_ranks_stay_int64():
@@ -183,9 +195,71 @@ def test_permutation_ranks_stay_int64():
     # spearman_uniform's int32 ranks are the same permutation
     draws = np.random.default_rng(1).random(5000)
     codes = np.random.default_rng(2).integers(0, 9, 5000).astype(np.int16)
-    narrow = _reflected_permutation_ranks(codes, draws, np.int32)
+    narrow = draw_ranks(codes, draws, dtype=np.int32)
     assert narrow.dtype == np.int32
-    assert narrow.tolist() == _reflected_permutation_ranks(codes, draws).tolist()
+    assert narrow.tolist() == draw_ranks(codes, draws).tolist()
+
+
+def tie_draws(kind, m, rng):
+    """m random() values, k / 2**53, of one kind: plain draws, draws on a
+    grid of 1/64 (exact ties), draws k / 2**53 and (k + 1) / 2**53 around
+    eight ks (they differ only below any truncated prefix), or half zeros."""
+    if kind == "grid":
+        return np.floor(rng.random(m) * 64) / 64
+    if kind == "adjacent":
+        ks = rng.integers(0, 2**53 - 1, 8)
+        return (ks[rng.integers(0, 8, m)] + rng.integers(0, 2, m)) / 2**53
+    if kind == "zeros":
+        return np.where(rng.random(m) < 0.5, 0.0, rng.random(m))
+    return rng.random(m)
+
+
+@given(
+    st.sampled_from([1, 2, 2**14 - 1, 2**14, 2**14 + 1]),
+    st.integers(0, 2**15 - 1),
+    st.integers(1, 64),
+    st.sampled_from(["plain", "grid", "adjacent", "zeros"]),
+    st.integers(0, 2**32),
+)
+def test_packed_keys_rank_like_the_lexsort(m, top, levels, kind, seed):
+    # k levels of codes up to top, in every policy
+    rng = np.random.default_rng(seed)
+    codes = np.append(rng.integers(0, top + 1, levels - 1), top).astype(np.int16)[rng.integers(0, levels, m)]
+    draws = tie_draws(kind, m, rng)
+    want = lexsort_ranks(codes, draws).tolist()
+    assert draw_ranks(codes, draws).tolist() == want
+    assert permutation_ranks(codes, "uniform_random", RepeatedDraws(draws)).tolist() == want
+    for policy, tiebreak in (("by_index", np.arange(m)), ("by_reverse_index", -np.arange(m))):
+        assert permutation_ranks(codes, policy).tolist() == lexsort_ranks(codes, tiebreak).tolist()
+
+
+@pytest.mark.parametrize("m", [2000, 2**14, 2**14 + 1])
+def test_one_prefix_run_per_code(monkeypatch, m):
+    # draw_bits = ib - 11 (at least 1) and every draw below 2**-draw_bits:
+    # all keys of a code share their prefix, so each code is one run
+    ib = (m - 1).bit_length()
+    bits = max(1, ib - 11)
+    rng = np.random.default_rng(m)
+    codes = rng.integers(0, 5, m).astype(np.int16)
+    for draws in (np.floor(rng.random(m) * 64) / 64 / 2**bits, rng.random(m) / 2**bits):
+        calls = spy_runs(monkeypatch)
+        got = draw_ranks(codes, draws, bits)
+        assert [len(pairs) for pairs in calls] == [m - 5]
+        assert got.tolist() == lexsort_ranks(codes, draws).tolist()
+        monkeypatch.undo()
+
+
+def test_codes_that_do_not_fit_a_key_are_refused():
+    # 63 code bits leave no room for two index bits, and 52 code bits at
+    # 4096 values leave no draw bits for the fix-up to pack the index with
+    assert _key_bits(np.array([2**61, 0, 0, 0])) == (2, 0)
+    with pytest.raises(ValueError, match="64-bit rank key"):
+        _key_bits(np.array([2**62, 0, 0, 0]))
+    codes = np.zeros(4096, dtype=np.int64)
+    codes[0] = 2**51
+    assert _key_bits(codes, 0) == (12, 0)
+    with pytest.raises(ValueError, match="64-bit rank key"):
+        _key_bits(codes)
 
 
 SPECIAL_FLOATS = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.5]
