@@ -2,10 +2,10 @@
 
 All correlation numerators and variance terms are integers before the final
 division, so they are accumulated exactly. Every reduction is one sum of
-products, taken by `_exact_sum`: in int64 over blocks short enough that no
-block sum can overflow, with the block sums added as Python ints. Products
-are formed as Python ints only when a single product can reach 2**62. Both
-paths are exact, hence deterministic.
+products, taken by `_exact_sum` (`_block_sum` sums given products): in int64
+over blocks short enough that no block sum can overflow, with the block sums
+added as Python ints. Products are formed as Python ints only when a single
+product can reach 2**62. Both paths are exact, hence deterministic.
 """
 from __future__ import annotations
 
@@ -34,8 +34,13 @@ def _exact_sum(factors: list[tuple[np.ndarray, int]]) -> int:
         for _ in range(k):
             # an int64 loop casts a in chunks: no widened copy, no uint64 -> float64
             np.multiply(prod, a, out=prod, dtype=np.int64, casting="unsafe")
+    return _block_sum(prod, bound)
+
+
+def _block_sum(prod: np.ndarray, bound: int) -> int:
+    """Exact sum of int64 values whose magnitude is at most bound < 2**62."""
     # each block sum is at most block * bound <= 2**62
-    starts = np.arange(0, size, _INT64_SAFE // max(bound, 1))
+    starts = np.arange(0, prod.size, _INT64_SAFE // max(bound, 1))
     return int(np.add.reduceat(prod, starts).astype(object).sum())
 
 

@@ -22,7 +22,7 @@ def count_strict_inversions(values) -> int:
     the larger keys of its own left block with two searchsorted calls, and
     one sort of the keys merges every pair of blocks. Keys stay below n^2.
     """
-    r, _ = _codes_and_counts(np.asarray(values, dtype=np.int64))
+    r = _codes_and_counts(np.asarray(values, dtype=np.int64))[0]
     n = r.size
     pos = np.arange(n)
     total = 0

@@ -7,7 +7,6 @@ collapses parallel edges; the resulting graph is always simple.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,9 +149,8 @@ def balance_iid_sequence(
     # worker w writes only hits[w], its balanced attempt index; a stale read
     # of min(hits) costs one more block, never a different result
     hits = [max_attempts] * workers
-    failures: list[BaseException] = []
 
-    def work(w: int) -> None:
+    def work(w: int, failures: list[BaseException]) -> None:
         # calls no public function: perfbench traces those on one span stack
         bits = [np.random.PCG64(ss) for ss in seeds]
         for b in bits:
@@ -181,21 +179,8 @@ def balance_iid_sequence(
             for b in bits:
                 b.advance((workers - 1) * rows * n)
 
-    def run(w: int) -> None:
-        try:
-            work(w)
-        except BaseException as exc:
-            # raised again by the caller; the other workers stop at their next block
-            failures.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
-    for t in helpers:
-        t.start()
-    run(0)
-    for t in helpers:
-        t.join()
-    if failures:
-        raise failures[0]
+    # a failure stops the other workers at their next block
+    measures._in_parallel(work, workers)
     hit = min(hits)
     if hit == max_attempts:
         raise BalanceFailedError(max_attempts)
@@ -232,9 +217,8 @@ def randomization_study(
     for rep_ss in np.random.SeedSequence(seed).spawn(repetitions):
         ecm_ss, rho_ss = rep_ss.spawn(2)
         drawn, _ = erased_configuration_model(pairs, np.random.default_rng(ecm_ss))
-        drawn_degrees = degrees(drawn)
-        for t in ALL_TYPES:
-            row = measures.row_values(drawn, t, measures.MEASURES, rho_ss, rho_inner, drawn_degrees)
+        rows = measures.row_values(drawn, ALL_TYPES, measures.MEASURES, [rho_ss] * len(ALL_TYPES), rho_inner)
+        for t, row in zip(ALL_TYPES, rows):
             for name, (value, _) in zip(measures.MEASURES, row):
                 if value is not None:
                     samples[(t.wire_name, name)].append(value)

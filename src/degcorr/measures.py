@@ -1,44 +1,42 @@
 """The four directed degree-degree dependency measures.
 
 Every measure is a function of the per-edge series (source-side degree,
-target-side degree) of one DependencyType. A report builds its inputs in
-layers:
+target-side degree) of one DependencyType. row_values computes a graph's
+report rows in one pass:
 
-* once per graph, the DegreeTable (compute_report and randomization_study
-  pass it to row_values, so every type reuses one graph.degrees call);
-* once per row (graph and type), the edge series, and, when a selected
-  measure reads them, each side's dense codes (each degree's index among
-  the side's distinct degrees, ascending) and counts of the distinct
-  degrees, from ranking._codes_and_counts, which alone picks their dtype.
-
-Each measure of the row reads these:
-
-* pearson takes exact sums over the edge series itself;
-* spearman_uniform ranks each side by one sort of packed (code, draw,
-  index) keys per tie-break seed (see ranking), from 2^14 edges on its
-  own thread when the process may use two cores;
-* spearman_average gathers the doubled average ranks per distinct degree,
-  computed from the counts, back by code and takes exact sums of them;
-* kendall counts concordant and discordant pairs on the joint table
-  bincount(code_x * b + code_y), b being the number of distinct y values.
+* per graph, the DegreeTable and each side the rows read (the out- or
+  in-degree at the edges' sources or targets: at most four), coded once
+  over the nodes by ranking._codes_and_counts, which alone picks the
+  dtype, and gathered by edge;
+* per graph, every row's spearman_uniform seeds, spawned in type order and
+  then seed order. From 2^14 edges two workers, one per core, are dealt
+  whole seeds and split an odd one out by side; a side ranks by one sort
+  of packed (code, draw, index) keys (see ranking), and each rho goes
+  into its seed's slot, so no value depends on the number of workers;
+* per row, one joint table C = bincount(code_x * b + code_y), b being the
+  number of distinct y values. Pearson reads sum(xy) = x . (C @ y) over
+  the distinct values and its other sums from their counts;
+  spearman_average does the same with each value's doubled average rank;
+  kendall counts concordant and discordant pairs on C.
 
 All numerators and variance terms are accumulated in exact integer
 arithmetic; division happens once at the end, so results are deterministic
-and reproduce closed forms to float precision.
+and reproduce closed forms to float precision. The public functions take
+the same integer sums, so they give a row's bits.
 """
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._exact import exact_dot, exact_power_sum
+from ._exact import _block_sum, _exact_sum, exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
-from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents,
+from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents, degrees,
                     edge_degree_pairs, vertex_moment_sum)
 from .ranking import (_codes_and_counts, _doubled_ranks, _key_bits, _packed_ranks, _rank_buffers,
                       average_ranks_doubled, permutation_ranks)
@@ -57,6 +55,29 @@ def _core_count() -> int:
     return min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _in_parallel(work: Callable[[int, list[BaseException]], None], workers: int) -> None:
+    """Run work(w, failures) for w < workers, w = 0 on the calling thread. A
+    worker that sees a failure may stop early; the first one is raised here
+    once every helper thread has stopped."""
+    failures: list[BaseException] = []
+
+    def run(w: int) -> None:
+        try:
+            work(w, failures)
+        except BaseException as exc:
+            # raised again by the caller once the helpers have stopped
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(w,), daemon=True) for w in range(1, workers)]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+
+
 # A side of fewer edges ranks in well under a millisecond, mostly in the
 # interpreter, where a second thread only waits for the lock: at m = 256 two
 # threads took twice as long as one, at m = 2^14 and above 0.65-0.85 times.
@@ -68,8 +89,8 @@ def _check_repetitions(what: str, count: int, least: int) -> None:
         raise ValueError(f"{what} must be between {least} and {MAX_REPETITIONS}, got {count}")
 
 
-# One side of a pair series: its dense codes and the count of each code.
-Side = tuple[np.ndarray, np.ndarray]
+# One side of a pair series: (codes, counts, distinct), see ranking._codes_and_counts.
+Side = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _pair_count(m: int, least: int, measure: str) -> int:
@@ -78,6 +99,17 @@ def _pair_count(m: int, least: int, measure: str) -> int:
     if m < least:
         raise DegenerateSizeError(f"{measure} needs at least {least} edges")
     return m
+
+
+def _side(g: DirectedGraph, d: DegreeTable, end: str, kind: str) -> Side:
+    """The kind degrees at the sources (end "out") or targets (end "in") of
+    g's edges: a node's degree at that end is its weight."""
+    weight = d.kind(end)
+    nodes = np.flatnonzero(weight)
+    codes, counts, distinct = _codes_and_counts(d.kind(kind)[nodes], weight[nodes])
+    node_codes = np.zeros(weight.size, codes.dtype)
+    node_codes[nodes] = codes
+    return node_codes[g.src if end == "out" else g.tgt], counts, distinct
 
 
 def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
@@ -109,11 +141,12 @@ def pearson_from_pairs(p: PairSeries) -> float:
     the division sees the operands of the vertex form, the tests' oracle.
     """
     m = _pair_count(len(p), 1, "pearson")
-    sx = exact_power_sum(p.x, 1)
-    sy = exact_power_sum(p.y, 1)
-    sxx = exact_power_sum(p.x, 2)
-    syy = exact_power_sum(p.y, 2)
-    sxy = exact_dot(p.x, p.y)
+    sums = [exact_power_sum(v, k) for k in (1, 2) for v in (p.x, p.y)]
+    return _pearson(m, *sums, exact_dot(p.x, p.y))
+
+
+def _pearson(m: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float:
+    """Pearson correlation from m and the exact sums of x, y, x^2, y^2, xy."""
     vx = m * sxx - sx * sx
     vy = m * syy - sy * sy
     if vx == 0 or vy == 0:
@@ -121,11 +154,14 @@ def pearson_from_pairs(p: PairSeries) -> float:
     return (m * sxy - sx * sy) / math.sqrt(vx * vy)
 
 
-def _rho_from_permutation_ranks(rx: np.ndarray, ry: np.ndarray, m: int) -> float:
-    s = exact_dot(rx, ry)
-    num = 12 * s - 3 * m * (m + 1) ** 2
-    den = m**3 - m
-    return num / den
+def _rho_from_permutation_ranks(rx: np.ndarray, ry: np.ndarray, prod: np.ndarray) -> float:
+    """Spearman's rho of two rank permutations of 1..m. prod is an int64
+    scratch of m values and is overwritten: a product is at most m^2 < 2^56,
+    so the products are summed exactly in blocks."""
+    m = prod.size
+    np.multiply(rx, ry, out=prod, dtype=np.int64)
+    num = 12 * _block_sum(prod, m * m) - 3 * m * (m + 1) ** 2
+    return num / (m**3 - m)
 
 
 def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
@@ -133,10 +169,9 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
 
     Two independent streams are derived from the seed: child 0 breaks ties on
     the source side, child 1 on the target side. That assignment is part of
-    the reproducibility contract. The two sides are ranked on up to two
-    threads; the value does not depend on their number.
+    the reproducibility contract.
     """
-    return _spearman_uniform_seeded(*_sides(edge_degree_pairs(g, t)), [np.random.SeedSequence(seed)])[0]
+    return _spearman_uniform_seeded([(*_sides(edge_degree_pairs(g, t)), [np.random.SeedSequence(seed)])])[0]
 
 
 def _sides(p: PairSeries) -> tuple[Side, Side]:
@@ -144,76 +179,45 @@ def _sides(p: PairSeries) -> tuple[Side, Side]:
 
 
 def _spearman_uniform_seeded(
-    sx: Side, sy: Side, seeds: list[np.random.SeedSequence], *, _workers: int | None = None
+    rows: list[tuple[Side, Side, list[np.random.SeedSequence]]], *, _workers: int | None = None
 ) -> list[float]:
-    """spearman_uniform of a pair series once per seed, from its sides.
+    """spearman_uniform per seed of each (source side, target side, seeds)
+    row of one graph, in row order and then seed order; at least one seed.
 
-    The calling thread spawns each seed's (source, target) children, in seed
-    order, max(1, 2**16 // m) seeds at a time. When m >= 2^14 and the process
-    may run on two cores, one helper thread ranks each batch's target side
-    while the calling thread ranks its source side and forms the rhos. The
-    next batch is handed out just before the current one's target ranks are
-    taken, so the helper runs at most one batch ahead and about two batches
-    of ranks are alive at once. An exception in either thread is raised here
-    once the helper has stopped. The rhos come back in seed order, and no
-    value depends on the number of threads.
+    Worker w, of one per core from m = 2^14 on, takes seeds w, w + workers,
+    ...; it spawns each one's (source, target) children, ranks both sides
+    into its own buffers and writes the rho into the seed's slot. When the
+    seeds do not divide evenly, the last one is split: worker 0 ranks its
+    source side, worker 1 its target side, and the caller forms its rho.
     """
-    m = _pair_count(sx[0].size, 2, "spearman")
-    step = max(1, 2**16 // m)
-    (cx, _), (cy, _) = sx, sy
-    bx, by = _key_bits(cx), _key_bits(cy)
-    workers = _workers or (_core_count() if m >= _THREADED_EDGES else 1)
-    # allocated on the calling thread, so that no helper grows a malloc arena;
-    # each thread's draw, key and chunk buffers serve every seed
+    m = _pair_count(rows[0][0][0].size, 2, "spearman")
+    tasks = [(cx, _key_bits(cx), cy, _key_bits(cy), ss) for (cx, *_), (cy, *_), seeds in rows for ss in seeds]
+    workers = min(_workers or (_core_count() if m >= _THREADED_EDGES else 1), 2 * len(tasks))
+    halves = tasks[-1][4].spawn(2) if len(tasks) % workers else []
     desc = np.arange(m, 0, -1, dtype=np.int32)
-    own = _rank_buffers(m)
-    theirs = _rank_buffers(m) if workers > 1 else own
-    tasks: queue.SimpleQueue = queue.SimpleQueue()
-    # never full: batch k is handed out only after batch k - 2 has been taken
-    ranked: queue.Queue = queue.Queue(maxsize=2)
+    # allocated on the calling thread, so that no helper grows a malloc arena;
+    # a worker's draws, keys, chunk and ranks serve each of its seeds
+    buffers = [(_rank_buffers(m), np.empty(m, np.int32), np.empty(m, np.int32)) for _ in range(workers)]
+    rhos = [0.0] * len(tasks)
 
-    def rank_targets(children: list[np.random.SeedSequence]) -> list[np.ndarray]:
+    def work(w: int, failures: list[BaseException]) -> None:
         # calls no public function: perfbench traces those on one span stack
-        return [_packed_ranks(cy, by, np.random.default_rng(ss), theirs, desc) for ss in children]
+        keyed, rx, ry = buffers[w]
+        for i in range(w, len(tasks) - bool(halves), workers):
+            if failures:
+                return
+            cx, bx, cy, by, ss = tasks[i]
+            src, tgt = ss.spawn(2)
+            _packed_ranks(cx, bx, np.random.default_rng(src), keyed, desc, rx)
+            _packed_ranks(cy, by, np.random.default_rng(tgt), keyed, desc, ry)
+            # the keys are free once both sides are ranked, and take the products
+            rhos[i] = _rho_from_permutation_ranks(rx, ry, keyed[1].view(np.int64))
+        if w < len(halves) and not failures:
+            _packed_ranks(*tasks[-1][2 * w : 2 * w + 2], np.random.default_rng(halves[w]), keyed, desc, (rx, ry)[w])
 
-    def helper() -> None:
-        try:
-            for children in iter(tasks.get, None):
-                ranked.put(rank_targets(children))
-        except BaseException as exc:
-            # raised again by the caller
-            ranked.put(exc)
-
-    thread = threading.Thread(target=helper, daemon=True) if workers > 1 else None
-
-    def spawn(start: int) -> list[np.random.SeedSequence]:
-        """Spawn the children of the batch at start, hand its target
-        children out and return its source children."""
-        pairs = [ss.spawn(2) for ss in seeds[start : start + step]]
-        if pairs:
-            targets = [tgt for _, tgt in pairs]
-            if thread is None:
-                ranked.put(rank_targets(targets))
-            else:
-                tasks.put(targets)
-        return [src for src, _ in pairs]
-
-    rhos: list[float] = []
-    if thread is not None:
-        thread.start()
-    try:
-        sources = spawn(0)
-        for start in range(0, len(seeds), step):
-            rx = [_packed_ranks(cx, bx, np.random.default_rng(ss), own, desc) for ss in sources]
-            sources = spawn(start + step)
-            ry = ranked.get()
-            if isinstance(ry, BaseException):
-                raise ry
-            rhos.extend(_rho_from_permutation_ranks(a, b, m) for a, b in zip(rx, ry))
-    finally:
-        if thread is not None:
-            tasks.put(None)
-            thread.join()
+    _in_parallel(work, workers)
+    if halves:
+        rhos[-1] = _rho_from_permutation_ranks(buffers[0][1], buffers[1][2], buffers[0][0][1].view(np.int64))
     return rhos
 
 
@@ -229,11 +233,11 @@ def spearman_ranked(
     depend on the particular ordering of tied entries. Like spearman_uniform
     it ranks the dense codes, which order and tie as the degrees do.
     """
-    (cx, _), (cy, _) = _sides(edge_degree_pairs(g, t))
+    (cx, *_), (cy, *_) = _sides(edge_degree_pairs(g, t))
     m = _pair_count(cx.size, 2, "spearman")
     rx = permutation_ranks(cx, source_policy)
     ry = permutation_ranks(cy, target_policy)
-    return _rho_from_permutation_ranks(rx, ry, m)
+    return _rho_from_permutation_ranks(rx, ry, np.empty(m, np.int64))
 
 
 def spearman_uniform_mean(
@@ -242,7 +246,7 @@ def spearman_uniform_mean(
     """Sample mean and standard error of spearman_uniform over derived seeds."""
     _check_repetitions("repetitions", repetitions, 2)
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
-    vals = np.array(_spearman_uniform_seeded(*_sides(edge_degree_pairs(g, t)), seeds))
+    vals = np.array(_spearman_uniform_seeded([(*_sides(edge_degree_pairs(g, t)), seeds)]))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -255,19 +259,19 @@ def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
     division produces the result.
     """
     p = edge_degree_pairs(g, t)
-    return _spearman_average(average_ranks_doubled(p.x), average_ranks_doubled(p.y))
-
-
-def _spearman_average(u: np.ndarray, v: np.ndarray) -> float:
-    """spearman_average from the doubled average ranks of both sides."""
+    u, v = average_ranks_doubled(p.x), average_ranks_doubled(p.y)
     m = _pair_count(u.size, 2, "spearman")
+    return _average_rho(m, exact_power_sum(u, 2), exact_power_sum(v, 2), exact_dot(u, v))
+
+
+def _average_rho(m: int, suu: int, svv: int, suv: int) -> float:
+    """spearman_average from the exact sums of u^2, v^2 and uv, u and v being
+    the doubled average ranks; both have mean m + 1."""
     shift = m * (m + 1) ** 2
-    sx2 = exact_power_sum(u, 2) - shift
-    sy2 = exact_power_sum(v, 2) - shift
+    sx2, sy2 = suu - shift, svv - shift
     if sx2 == 0 or sy2 == 0:
         raise ZeroVarianceError("all ranks tied on one side")
-    num = exact_dot(u, v) - shift
-    return num / math.sqrt(sx2 * sy2)
+    return (suv - shift) / math.sqrt(sx2 * sy2)
 
 
 def concordance_counts(p: PairSeries) -> tuple[int, int]:
@@ -288,7 +292,7 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
 
 
 def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
-    (xi, xn), (yi, yn) = sx, sy
+    (xi, xn, _), (yi, yn, _) = sx, sy
     m = xi.size
     if m < 2:
         return 0, 0
@@ -296,10 +300,20 @@ def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
     # A degree series always fits. A side with k distinct positive values
     # has k(k+1)/2 <= m (see _codes_and_counts) and at most k+1 values, so
     # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
-    # call takes the table path.
+    # call, and every report row, takes the table path.
     if a * b > 4 * m:
         return _merge_concordance_counts(xi, yi, b)
-    table = np.bincount(xi.astype(np.intp) * b + yi, minlength=a * b).reshape(a, b)
+    return _table_concordance(_joint_table(sx, sy))
+
+
+def _joint_table(sx: Side, sy: Side) -> np.ndarray:
+    """C[i, j]: the number of pairs whose x has code i and whose y code j."""
+    a, b = sx[1].size, sy[1].size
+    return np.bincount(sx[0].astype(np.intp) * b + sy[0], minlength=a * b).reshape(a, b)
+
+
+def _table_concordance(table: np.ndarray) -> tuple[int, int]:
+    """(Nc, Nd) of a joint table; see concordance_counts."""
     # before[i, j] = P[i-1, j]: pairs in rows before i and columns up to j.
     # Every product and both sums are at most m^2: exact in int64 for m < 3e9.
     before = np.zeros_like(table)
@@ -307,6 +321,14 @@ def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
     nc = int((table[:, 1:] * before[:, :-1]).sum())
     nd = int((table * (before[:, -1:] - before)).sum())
     return nc, nd
+
+
+def _table_sums(table: np.ndarray, sx: Side, sy: Side, xv: np.ndarray, yv: np.ndarray) -> tuple[int, ...]:
+    """Exact sums of x, y, x^2, y^2 and xy over a row's pairs, a pair's x
+    being xv at its x code and y yv at its y code. A value of table @ yv is
+    at most m * max(yv) < 2^63 for yv <= 2m and m <= graph.MAX_EDGES."""
+    sums = [_exact_sum([(s[1], 1), (v, k)]) for k in (1, 2) for s, v in ((sx, xv), (sy, yv))]
+    return (*sums, _exact_sum([(xv, 1), (table @ yv, 1)]))
 
 
 def _merge_concordance_counts(x: np.ndarray, r: np.ndarray, b: int) -> tuple[int, int]:
@@ -331,54 +353,59 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    return _kendall_tau(*_sides(edge_degree_pairs(g, t)))
+    sx, sy = _sides(edge_degree_pairs(g, t))
+    return _kendall_tau(_pair_count(sx[0].size, 2, "kendall"), *_concordance_counts(sx, sy))
 
 
-def _kendall_tau(sx: Side, sy: Side) -> float:
-    m = _pair_count(sx[0].size, 2, "kendall")
-    nc, nd = _concordance_counts(sx, sy)
+def _kendall_tau(m: int, nc: int, nd: int) -> float:
     return 2 * (nc - nd) / (m * (m - 1))
 
 
 def row_values(
     g: DirectedGraph,
-    t: DependencyType,
+    types: Sequence[DependencyType],
     names: tuple[str, ...],
-    ss: np.random.SeedSequence,
+    seeds: Sequence[np.random.SeedSequence],
     rho_reps: int,
-    d: DegreeTable | None = None,
-) -> list[tuple[float | None, str | None]]:
-    """One report row: per name in order, (value, None), or (None, reason).
+) -> list[list[tuple[float | None, str | None]]]:
+    """g's report rows, one per type: per name in order, (value, None), or
+    (None, reason), reason being "zero_variance" or "degenerate_size".
 
-    d is g's DegreeTable, built here when not given. The edge series of
-    (g, t) is built once, and so are the dense codes and counts of each
-    side when a selected measure reads them. reason is "zero_variance" or
-    "degenerate_size". spearman_uniform is the mean over rho_reps tie-break
-    instances on children of ss. They are spawned before anything can
-    raise, so the streams of later cells that share ss do not depend on
-    whether this one is defined. Its two sides are ranked on up to two
-    threads (see _spearman_uniform_seeded); no value depends on their number.
+    spearman_uniform is the mean over rho_reps tie-break instances on
+    children of the type's seed in seeds, which types may share. Every
+    type's children are spawned, in type order, before anything can raise,
+    so the streams of cells that share a seed do not depend on whether an
+    earlier one is defined; no value depends on the number of threads.
     """
-    p = edge_degree_pairs(g, t, d)
-    # pearson reads the series itself; every other measure reads the sides
-    sx, sy = _sides(p) if any(name != "pearson" for name in names) else (None, None)
-    row = []
-    for name in names:
-        # an if-chain, not a dict built at import, so rebound attributes see every call
-        try:
-            if name == "spearman_uniform":
-                children = ss.spawn(rho_reps)
-                row.append((float(np.mean(_spearman_uniform_seeded(sx, sy, children))), None))
-            elif name == "pearson":
-                row.append((pearson_from_pairs(p), None))
-            elif name == "spearman_average":
-                row.append((_spearman_average(_doubled_ranks(*sx), _doubled_ranks(*sy)), None))
-            elif name == "kendall":
-                row.append((_kendall_tau(sx, sy), None))
-            else:
-                raise ValueError(f"unknown measure {name!r}")
-        except ZeroVarianceError:
-            row.append((None, "zero_variance"))
-        except (EmptyGraphError, DegenerateSizeError):
-            row.append((None, "degenerate_size"))
-    return row
+    if not set(names) <= set(MEASURES):
+        raise ValueError(f"unknown measure {next(n for n in names if n not in MEASURES)!r}")
+    d = degrees(g)
+    m = g.edge_count
+    children = [ss.spawn(rho_reps) for ss in seeds] if "spearman_uniform" in names else []
+    keys = [(("out", t.source_kind), ("in", t.target_kind)) for t in types]
+    coded = {key: _side(g, d, *key) for key in dict.fromkeys(key for pair in keys for key in pair)}
+    pairs = [(coded[x], coded[y]) for x, y in keys]
+    rhos = _spearman_uniform_seeded([(*p, c) for p, c in zip(pairs, children)]) if children and m >= 2 else []
+    rows = []
+    for i, (sx, sy) in enumerate(pairs):
+        table = _joint_table(sx, sy) if set(names) - {"spearman_uniform"} else None
+        row = []
+        for name in names:
+            try:
+                _pair_count(m, 1 if name == "pearson" else 2, name)
+                if name == "spearman_uniform":
+                    value = float(np.mean(rhos[i * rho_reps : (i + 1) * rho_reps]))
+                elif name == "pearson":
+                    value = _pearson(m, *_table_sums(table, sx, sy, sx[2], sy[2]))
+                elif name == "spearman_average":
+                    sums = _table_sums(table, sx, sy, _doubled_ranks(sx[1]), _doubled_ranks(sy[1]))
+                    value = _average_rho(m, *sums[2:])
+                else:
+                    value = _kendall_tau(m, *_table_concordance(table))
+                row.append((value, None))
+            except ZeroVarianceError:
+                row.append((None, "zero_variance"))
+            except (EmptyGraphError, DegenerateSizeError):
+                row.append((None, "degenerate_size"))
+        rows.append(row)
+    return rows

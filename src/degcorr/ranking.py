@@ -34,9 +34,14 @@ import numpy as np
 TiePolicy = str
 
 
-def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, counts): each value's index among the distinct values,
-    ascending, and how often each distinct value occurs.
+def _codes_and_counts(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(codes, counts, distinct): each value's index among the distinct
+    values, ascending, how often each distinct value occurs, and the distinct
+    values themselves.
+
+    With weights (positive integers summing to less than 2^53, the values
+    being integers from 0 to that sum, as degrees are, so they take the
+    bincount), values[i] stands for weights[i] copies of itself.
 
     Codes keep the order of the values, so any rank of the codes is the same
     rank of the values. Non-negative integers no larger than the series
@@ -52,29 +57,26 @@ def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.unique, so no input asks for more bins than it has elements.
     """
     values = np.asarray(values)
+    size = values.size if weights is None else int(weights.sum())
     if (
         values.ndim == 1
         and values.dtype.kind in "iu"
         and values.min(initial=0) >= 0
-        and values.max(initial=0) <= values.size
+        and values.max(initial=0) <= size
     ):
-        hist = np.bincount(values.astype(np.intp, copy=False))
+        hist = np.bincount(values.astype(np.intp, copy=False), weights).astype(np.int64, copy=False)
         present = hist > 0
         counts = hist[present]
         code_of = (np.cumsum(present) - 1).astype(np.int16 if counts.size <= 2**15 else np.intp)
-        return code_of[values], counts
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return inverse.reshape(values.shape), counts
+        return code_of[values], counts, np.flatnonzero(present)
+    distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return inverse.reshape(values.shape), counts, distinct
 
 
-def _doubled_ranks(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Doubled average ranks of the values that _codes_and_counts described.
-
-    Per distinct value, ascending, 2*rank = 2 * (values above) + count + 1
-    = 2m + 1 - 2 * cumsum(counts) + counts; gathered back by code.
-    """
-    per_value = 2 * codes.size + 1 - 2 * np.cumsum(counts) + counts
-    return per_value.astype(np.int64, copy=False)[codes]
+def _doubled_ranks(counts: np.ndarray) -> np.ndarray:
+    """Doubled average ranks of the distinct values that _codes_and_counts
+    described, ascending: 2*rank = 2 * (values above) + count + 1."""
+    return (2 * (counts.sum() - np.cumsum(counts)) + counts + 1).astype(np.int64, copy=False)
 
 
 def average_ranks_doubled(values: np.ndarray) -> np.ndarray:
@@ -82,7 +84,8 @@ def average_ranks_doubled(values: np.ndarray) -> np.ndarray:
 
     2*rank(v) = 2 * |{u : u > v}| + |{u : u == v}| + 1.
     """
-    return _doubled_ranks(*_codes_and_counts(values))
+    codes, counts, _ = _codes_and_counts(values)
+    return _doubled_ranks(counts)[codes]
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -114,12 +117,14 @@ def _rank_buffers(m: int) -> tuple[np.ndarray, ...]:
 
 
 def _packed_ranks(
-    codes: np.ndarray, bits: tuple[int, int], rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray
+    codes: np.ndarray, bits: tuple[int, int], rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Descending ranks, in desc's dtype (desc is m, m - 1, ..., 1), in the
     order of np.lexsort((draws, codes)), the draws being rng.random(m); with
     no rng, db is 0 and the order is by (code, index). bits is
-    _key_bits(codes), and buffers, from _rank_buffers, are overwritten."""
+    _key_bits(codes), buffers, from _rank_buffers, are overwritten, and so
+    is out, when given, which then holds the ranks."""
     ib, db = bits
     draws, keys, scratch, index = buffers
     if rng is not None:
@@ -149,7 +154,7 @@ def _packed_ranks(
     if pairs:
         _reorder_runs(keys, np.concatenate(pairs), draws, ib, db)
     np.bitwise_and(keys, mask, out=keys)
-    ranks = np.empty(keys.size, desc.dtype)
+    ranks = np.empty(keys.size, desc.dtype) if out is None else out
     ranks[keys.view(np.int64)] = desc
     return ranks
 

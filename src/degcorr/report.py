@@ -15,7 +15,7 @@ import numpy as np
 
 from . import measures
 from .config_model import RandomizationSummary
-from .graph import ALL_TYPES, DependencyType, DirectedGraph, degrees
+from .graph import ALL_TYPES, DependencyType, DirectedGraph
 
 SCHEMA_VERSION = 1
 TYPE_ORDER = tuple(t.wire_name for t in ALL_TYPES)
@@ -65,10 +65,9 @@ def compute_report(
     cells: dict[tuple[str, str], Cell] = {}
     root = np.random.SeedSequence(seed)
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))
-    d = degrees(g)
-    for tname in types:
-        t = DependencyType.from_wire(tname)
-        row = measures.row_values(g, t, which, type_seeds[tname], rho_repetitions, d)
+    chosen = [DependencyType.from_wire(tname) for tname in types]
+    rows = measures.row_values(g, chosen, which, [type_seeds[tname] for tname in types], rho_repetitions)
+    for tname, row in zip(types, rows):
         for mname, (value, reason) in zip(which, row):
             cells[(tname, mname)] = Cell(value, reason)
     return CorrelationReport(

@@ -1,10 +1,11 @@
 import functools
 import inspect
 import math
+import operator
 import os
-import queue
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def rhos_by_workers(p, reps, seed=41):
     """_spearman_uniform_seeded of p on one and on two workers, each on
     fresh children of seed."""
     return [
-        _spearman_uniform_seeded(*_sides(p), np.random.SeedSequence(seed).spawn(reps), _workers=w)
+        _spearman_uniform_seeded([(*_sides(p), np.random.SeedSequence(seed).spawn(reps))], _workers=w)
         for w in (1, 2)
     ]
 
@@ -258,7 +259,7 @@ class TestSpearmanUniform:
                     continue
                 assert dc.spearman_uniform(g, t, 41) == lexsort_rho(p, np.random.SeedSequence(41))
                 mean = float(np.mean([lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(5)]))
-                row = row_values(g, t, MEASURES, np.random.SeedSequence(41), 5)
+                row = row_values(g, [t], MEASURES, [np.random.SeedSequence(41)], 5)[0]
                 assert row[MEASURES.index("spearman_uniform")] == (mean, None)
                 assert dc.spearman_uniform_mean(g, t, 5, 41)[0] == mean
 
@@ -271,7 +272,7 @@ class TestSpearmanUniform:
         p = dc.PairSeries(x, rng.integers(0, 50, x.size))
         sx, sy = _sides(p)
         assert sx[0].dtype == np.intp and sy[0].dtype == np.int16
-        got = _spearman_uniform_seeded(sx, sy, np.random.SeedSequence(3).spawn(3))
+        got = _spearman_uniform_seeded([(sx, sy, np.random.SeedSequence(3).spawn(3))])
         assert got == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(3).spawn(3)]
 
 
@@ -287,26 +288,46 @@ class TestSpearmanUniformThreads:
                     assert one == two
                     assert one == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(41).spawn(reps)]
 
+    def test_golden_reports_and_baselines_do_not_depend_on_the_thread_count(self, monkeypatch):
+        seeded = measures._spearman_uniform_seeded
+        for g in golden_graphs():
+            got = []
+            for workers in (1, 2):
+                monkeypatch.setattr(measures, "_spearman_uniform_seeded", functools.partial(seeded, _workers=workers))
+                got.append((compute_report(g, "g", seed=3).cells, dc.randomization_study(g, 3, 5).cells))
+            assert got[0] == got[1]
+
     @pytest.mark.parametrize(
         "m, reps, batches",
-        [(2**16, 3, [1, 1, 1]), (2**16 + 7, 2, [1, 1]), (1000, 200, [65, 65, 65, 5]), (100, 1400, [655, 655, 90])],
+        [(2**16, 3, [2, 1]), (2**16 + 7, 2, [1, 1]), (1000, 200, [100, 100]), (100, 1400, [700, 700])],
     )
     def test_batches_do_not_change_the_rhos(self, monkeypatch, m, reps, batches):
-        # one seed per handoff from m = 2^16 on, 2^16 // m seeds below
-        handed = []
+        # the calling thread is dealt seeds 0, 2, 4, ... and the helper 1, 3,
+        # 5, ...; of an odd count, the last seed's source side is ranked on
+        # the calling thread and its target side on the helper. batches
+        # counts the source sides each thread ranks; each rho lands in its
+        # seed's slot
+        default_rng = np.random.default_rng
+        dealt = {True: [], False: []}
 
-        class Recording(queue.SimpleQueue):
-            def put(self, item, *args):
-                if item is not None:
-                    handed.append(len(item))
-                super().put(item, *args)
+        def recording(ss):
+            # a child's spawn key ends in (seed index, side), side 0 the source
+            dealt[threading.current_thread() is threading.main_thread()].append(tuple(ss.spawn_key[-2:]))
+            return default_rng(ss)
 
-        monkeypatch.setattr(queue, "SimpleQueue", Recording)
         p = tied_series(m)
-        seeds = np.random.SeedSequence(5).spawn(reps)
-        one, two = rhos_by_workers(p, reps, 5)
-        assert handed == batches
-        assert one == two == [lexsort_rho(p, ss) for ss in seeds]
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        two = _spearman_uniform_seeded([(*_sides(p), np.random.SeedSequence(5).spawn(reps))], _workers=2)
+        monkeypatch.undo()
+        main = [(i, side) for i in range(0, reps, 2) for side in (0, 1)]
+        helper = [(i, side) for i in range(1, reps, 2) for side in (0, 1)]
+        if reps % 2:
+            main.pop()
+            helper.append((reps - 1, 1))
+        assert dealt == {True: main, False: helper}
+        assert [sum(side == 0 for _, side in dealt[t]) for t in (True, False)] == batches
+        one = _spearman_uniform_seeded([(*_sides(p), np.random.SeedSequence(5).spawn(reps))], _workers=1)
+        assert one == two == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(5).spawn(reps)]
 
     def test_tied_draws_take_the_lexsort_in_the_helper(self, monkeypatch):
         # draws on a grid of 1/64 tie, so both sides' keys have runs that the
@@ -343,22 +364,32 @@ class TestSpearmanUniformThreads:
         "fail_on_main, exc", [(False, MemoryError("rank")), (True, KeyboardInterrupt("rank"))]
     )
     def test_failure_raised_in_caller(self, monkeypatch, fail_on_main, exc):
-        # 1000 seeds of m = 1000 are 16 batches of 65; the thread that does
-        # not fail ranks at most the first batch. The call runs on its own
-        # thread, so that a lost exception fails the join instead of hanging.
+        # 4000 seeds of m = 1000 are 2000 per worker. One worker fails once
+        # the other has begun its first ranking, which waits until the
+        # failure has had time to be recorded; then that worker finishes the
+        # seed's two sides and stops at its next seed (one more seed is
+        # allowed for a slow recording). The call runs on its own thread, so
+        # that a lost exception fails the join instead of hanging.
         rank = measures._packed_ranks
+        began, failed = threading.Event(), threading.Event()
         other_ranks = []
         raised = []
 
         def failing(*args):
             if (threading.current_thread() is caller) == fail_on_main:
+                began.wait(timeout=60)
+                failed.set()
                 raise exc
+            if not other_ranks:
+                began.set()
+                failed.wait(timeout=60)
+                time.sleep(0.05)
             other_ranks.append(1)
             return rank(*args)
 
         def call():
             try:
-                _spearman_uniform_seeded(*sides, np.random.SeedSequence(0).spawn(1000), _workers=2)
+                _spearman_uniform_seeded([(*sides, np.random.SeedSequence(0).spawn(4000))], _workers=2)
             except BaseException as got:
                 raised.append(got)
 
@@ -371,7 +402,7 @@ class TestSpearmanUniformThreads:
         assert not caller.is_alive()
         assert raised == [exc]
         assert threading.active_count() == threads
-        assert len(other_ranks) <= 65
+        assert len(other_ranks) <= 2 * 2
 
     def test_helper_calls_no_public_function(self, monkeypatch):
         # perfbench's tracer wraps every public function and keeps one span
@@ -420,15 +451,17 @@ class TestSpearmanUniformThreads:
         assert off_main == []
 
     def test_more_threads_than_cores_under_fast_switching(self):
-        # the helper and the caller hand batches back and forth; a lost or
-        # misordered batch would change the rhos
+        # three workers share the slots; a lost or misplaced rho would change
+        # the list
         p = tied_series(1000, 3)
-        want = rhos_by_workers(p, 300, 3)[0]
+        seeds = np.random.SeedSequence(3).spawn(300)
+        want = _spearman_uniform_seeded([(*_sides(p), seeds)], _workers=1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert rhos_by_workers(p, 300, 3)[1] == want
+                seeds = np.random.SeedSequence(3).spawn(300)
+                assert _spearman_uniform_seeded([(*_sides(p), seeds)], _workers=3) == want
         finally:
             sys.setswitchinterval(switch)
 
@@ -444,9 +477,46 @@ class TestSpearmanUniformThreads:
         monkeypatch.setattr(measures, "_core_count", lambda: cores)
         monkeypatch.setattr(threading, "Thread", Spy)
         p = tied_series(m)
-        got = _spearman_uniform_seeded(*_sides(p), np.random.SeedSequence(2).spawn(2))
+        got = _spearman_uniform_seeded([(*_sides(p), np.random.SeedSequence(2).spawn(2))])
         assert len(threads) == started
         assert got == [lexsort_rho(p, ss) for ss in np.random.SeedSequence(2).spawn(2)]
+
+    def test_one_seed_ranks_its_sides_on_two_threads(self, monkeypatch):
+        # a single tie-break, as the public spearman_uniform takes, ranks its
+        # source side on the calling thread and its target side on the helper
+        rank = measures._packed_ranks
+        ranked = []
+
+        def spy(codes, *args):
+            ranked.append((threading.current_thread() is threading.main_thread(), codes.size))
+            return rank(codes, *args)
+
+        rng = np.random.default_rng(8)
+        g = dc.DirectedGraph(3000, rng.integers(0, 3000, 2**14), rng.integers(0, 3000, 2**14))
+        monkeypatch.setattr(measures, "_core_count", lambda: 2)
+        monkeypatch.setattr(measures, "_packed_ranks", spy)
+        got = dc.spearman_uniform(g, dc.DependencyType.OUT_IN, 4)
+        assert sorted(ranked) == [(False, 2**14), (True, 2**14)]
+        assert got == lexsort_rho(dc.edge_degree_pairs(g, dc.DependencyType.OUT_IN), np.random.SeedSequence(4))
+
+    def test_one_helper_thread_per_graph(self, monkeypatch):
+        # every row's tie-breaks of a graph share one helper, not one per row
+        threads = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        rng = np.random.default_rng(6)
+        g = dc.DirectedGraph(6000, rng.integers(0, 6000, 2**15), rng.integers(0, 6000, 2**15))
+        monkeypatch.setattr(measures, "_core_count", lambda: 2)
+        monkeypatch.setattr(threading, "Thread", Spy)
+        compute_report(g, "g")
+        assert len(threads) == 1
+        dc.randomization_study(g, 2, 0)
+        # one per ECM draw, each of which keeps at least 2^14 edges
+        assert len(threads) == 1 + 2
 
     @pytest.mark.parametrize("cpus, cores", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
     def test_core_count(self, monkeypatch, cpus, cores):
@@ -489,7 +559,8 @@ class TestSpearmanRanked:
                     continue
                 for sp in policies:
                     for tp in policies:
-                        want = _rho_from_permutation_ranks(raw["x", sp], raw["y", tp], len(p))
+                        prod = np.empty(len(p), np.int64)
+                        want = _rho_from_permutation_ranks(raw["x", sp], raw["y", tp], prod)
                         assert dc.spearman_ranked(g, t, sp, tp) == want
 
 
@@ -597,17 +668,37 @@ class TestKendall:
                 assert a * b <= 4 * len(p)
                 concordance_counts(p)
                 # and the dense codes every rank-based measure reads are int16
-                for side, (codes, _) in zip((p.x, p.y), _sides(p)):
+                for side, (codes, _, _) in zip((p.x, p.y), _sides(p)):
                     assert codes.dtype == np.int16
                     assert codes.tolist() == np.unique(side, return_inverse=True)[1].tolist()
 
     def test_codes_are_int16_up_to_2_15_distinct_values(self):
-        codes, counts = _codes_and_counts(np.arange(2**15))
+        codes, counts, _ = _codes_and_counts(np.arange(2**15))
         assert codes.dtype == np.int16 and codes.max() == 2**15 - 1
         assert counts.size == 2**15
         # one more and code 2**15 would wrap to -2**15 in int16
-        codes, _ = _codes_and_counts(np.arange(2**15 + 1))
+        codes, _, _ = _codes_and_counts(np.arange(2**15 + 1))
         assert codes.dtype == np.intp and codes.max() == 2**15
+
+
+def cell_of(fn, *args):
+    """fn's value as a report cell: (value, None) or (None, reason)."""
+    try:
+        return fn(*args), None
+    except ZeroVarianceError:
+        return None, "zero_variance"
+    except (EmptyGraphError, DegenerateSizeError):
+        return None, "degenerate_size"
+
+
+def public_row(g, t, reps, seed):
+    """The cells of (g, t) from the public functions, in MEASURES order."""
+    return [
+        cell_of(dc.pearson, g, t),
+        cell_of(lambda: dc.spearman_uniform_mean(g, t, reps, seed)[0]),
+        cell_of(dc.spearman_average, g, t),
+        cell_of(dc.kendall_tau, g, t),
+    ]
 
 
 class TestCellValue:
@@ -616,67 +707,71 @@ class TestCellValue:
         one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
         empty = dc.DirectedGraph.from_edges(2, [])
         ss = np.random.SeedSequence(0)
-        assert row_values(cycle, IN_OUT, ("pearson", "kendall"), ss, 3) == [(None, "zero_variance"), (0.0, None)]
-        assert row_values(one_edge, IN_OUT, ("spearman_average",), ss, 3) == [(None, "degenerate_size")]
-        assert row_values(one_edge, IN_OUT, ("kendall", "pearson"), ss, 3) == [
+
+        def row(g, names):
+            return row_values(g, [IN_OUT], names, [ss], 3)[0]
+
+        assert row(cycle, ("pearson", "kendall")) == [(None, "zero_variance"), (0.0, None)]
+        assert row(cycle, ("spearman_average",)) == [(None, "zero_variance")]
+        assert row(cycle, ("spearman_uniform",))[0][1] is None
+        assert row(one_edge, ("spearman_average",)) == [(None, "degenerate_size")]
+        assert row(one_edge, ("kendall", "pearson")) == [
             (None, "degenerate_size"),
             (None, "zero_variance"),
         ]
-        assert row_values(empty, IN_OUT, MEASURES, ss, 3) == [(None, "degenerate_size")] * 4
+        assert row(empty, MEASURES) == [(None, "degenerate_size")] * 4
         with pytest.raises(ValueError, match="unknown measure"):
-            row_values(cycle, IN_OUT, ("nope",), ss, 3)
+            row(cycle, ("nope",))
 
     def test_spearman_uniform_spawns_even_when_undefined(self):
         # later cells sharing the stream must not shift with definedness
         ss = np.random.SeedSequence(5)
         one_edge = dc.DirectedGraph.from_edges(2, [(0, 1)])
-        assert row_values(one_edge, IN_OUT, ("spearman_uniform",), ss, 4) == [(None, "degenerate_size")]
+        assert row_values(one_edge, [IN_OUT], ("spearman_uniform",), [ss], 4) == [[(None, "degenerate_size")]]
         assert ss.n_children_spawned == 4
+        assert row_values(one_edge, dc.ALL_TYPES, MEASURES, [ss] * 4, 2)[3][1] == (None, "degenerate_size")
+        assert ss.n_children_spawned == 4 + 4 * 2
 
     def test_one_series_per_row(self, monkeypatch):
-        calls = []
-        tables = []
-
-        def spy(g, t, d=None):
-            calls.append(t)
-            return dc.edge_degree_pairs(g, t, d)
+        # a report builds one degree table per graph, codes each of at most
+        # four sides once per graph, and builds no edge series
+        tables, sides, series = [], [], []
+        side, pairs = measures._side, dc.edge_degree_pairs
 
         def degrees_spy(g):
             tables.append(g)
             return dc.degrees(g)
 
-        monkeypatch.setattr(measures, "edge_degree_pairs", spy)
-        # every binding of graph.degrees: a degree table is built once per graph
-        for module in (graph, report, config_model):
+        def side_spy(g, d, end, kind):
+            sides.append((end, kind))
+            return side(g, d, end, kind)
+
+        def series_spy(*args):
+            series.append(args)
+            return pairs(*args)
+
+        # every binding of graph.degrees and graph.edge_degree_pairs
+        for module in (graph, measures, config_model):
             monkeypatch.setattr(module, "degrees", degrees_spy)
+        for module in (graph, measures):
+            monkeypatch.setattr(module, "edge_degree_pairs", series_spy)
+        monkeypatch.setattr(measures, "_side", side_spy)
         g = dc.bridge_graph(dc.BridgeParams(3, 4))
-        compute_report(g, "g")
-        assert calls == list(dc.ALL_TYPES)
-        assert tables == [g]
-        calls.clear()
-        tables.clear()
+        every_side = [("out", "out"), ("in", "in"), ("in", "out"), ("out", "in")]
+        for which in MEASURES, ("pearson",), ("spearman_uniform",):
+            compute_report(g, "g", which=which)
+            assert tables == [g] and sides == every_side
+            tables.clear()
+            sides.clear()
         compute_report(g, "g", types=("out_out",))
-        assert calls == [dc.DependencyType.OUT_OUT]
-        calls.clear()
+        assert sides == [("out", "out"), ("in", "out")]
         tables.clear()
+        sides.clear()
         dc.randomization_study(g, 3, 0)
-        assert calls == list(dc.ALL_TYPES) * 3
-        # the input graph, then one table per ECM draw
+        # the input graph, then one table and four sides per ECM draw
         assert len(tables) == 1 + 3 and tables[0] is g
-        # pearson reads the series alone; the other measures read both sides
-        codes = []
-
-        def codes_spy(values):
-            codes.append(len(values))
-            return _codes_and_counts(values)
-
-        monkeypatch.setattr(measures, "_codes_and_counts", codes_spy)
-        compute_report(g, "g", which=("pearson",))
-        assert codes == []
-        for names in MEASURES[1:], MEASURES:
-            compute_report(g, "g", types=("out_out",), which=names)
-            assert codes == [g.edge_count] * 2
-            codes.clear()
+        assert sorted(sides) == sorted(every_side * 3)
+        assert series == []
 
     def test_report_path_never_sorts_for_codes(self, monkeypatch):
         # codes, ranks and tables come from bincount; np.unique is only the
@@ -693,6 +788,55 @@ class TestCellValue:
         compute_report(g, "ecm_2000")
         dc.randomization_study(g, 3, 0)
         assert calls == []
+
+
+class TestRows:
+    def test_rows_equal_the_public_functions(self):
+        rng = np.random.default_rng(16)
+        graphs = golden_graphs() + [random_multigraph(rng) for _ in range(300)]
+        graphs.append(dc.DirectedGraph.from_edges(2, []))
+        for g in graphs:
+            rows = row_values(g, dc.ALL_TYPES, MEASURES, [np.random.SeedSequence(41) for _ in range(4)], 2)
+            for t, row in zip(dc.ALL_TYPES, rows):
+                assert row == public_row(g, t, 2, 41)
+
+    def test_single_measure_rows_equal_the_full_row(self, corpus):
+        for g in corpus + golden_graphs():
+            full = row_values(g, dc.ALL_TYPES, MEASURES, [np.random.SeedSequence(7)] * 4, 3)
+            for k, name in enumerate(MEASURES):
+                rows = row_values(g, dc.ALL_TYPES, (name,), [np.random.SeedSequence(7)] * 4, 3)
+                assert rows == [[row[k]] for row in full]
+            # the deterministic measures in another order, one type at a time
+            names = ("kendall", "spearman_average", "pearson")
+            for t, row in zip(dc.ALL_TYPES, full):
+                got = row_values(g, [t], names, [np.random.SeedSequence(7)], 3)[0]
+                assert got == [row[MEASURES.index(name)] for name in names]
+
+    def test_node_codes_are_the_series_codes(self, corpus):
+        for g in corpus + golden_graphs():
+            d = dc.degrees(g)
+            for t in dc.ALL_TYPES:
+                sides = measures._side(g, d, "out", t.source_kind), measures._side(g, d, "in", t.target_kind)
+                for got, want in zip(sides, _sides(dc.edge_degree_pairs(g, t))):
+                    assert got[0].dtype == want[0].dtype == np.int16
+                    for a, b in zip(got, want):
+                        assert a.tolist() == b.tolist()
+
+    def test_rho_dot_is_exact_past_int64(self):
+        # at m = 2^22 the rank dots reach about m^3 / 3 > 2^64: only the
+        # block sums keep them exact
+        m = 2**22
+        desc = np.arange(m, 0, -1, dtype=np.int32)
+        shuffled = np.random.default_rng(4).permutation(desc)
+        prod = np.empty(m, np.int64)
+        assert _rho_from_permutation_ranks(desc, desc, prod) == 1.0
+        assert _rho_from_permutation_ranks(desc, desc[::-1], prod) == -1.0
+        dot = 0
+        for j in range(0, m, 2**16):
+            dot += sum(map(operator.mul, desc[j : j + 2**16].tolist(), shuffled[j : j + 2**16].tolist()))
+        assert dot > 2**63
+        want = (12 * dot - 3 * m * (m + 1) ** 2) / (m**3 - m)
+        assert _rho_from_permutation_ranks(desc, shuffled, prod) == want
 
 
 class TestInvariants:

@@ -356,7 +356,21 @@ def non_negative_series(draw):
 
 @given(non_negative_series())
 def test_codes_and_counts_match_unique(values):
-    codes, counts = _codes_and_counts(values)
-    _, inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
+    codes, counts, distinct = _codes_and_counts(values)
+    ref_distinct, inverse, ref_counts = np.unique(values, return_inverse=True, return_counts=True)
     assert codes.tolist() == inverse.reshape(-1).tolist()
     assert counts.tolist() == ref_counts.tolist()
+    assert distinct.tolist() == ref_distinct.tolist()
+
+
+@given(non_negative_series(), st.data())
+def test_weighted_codes_are_those_of_the_repeated_series(values, data):
+    # a node's degree at one end, weighted by its number of edges there
+    weights = np.array(data.draw(st.lists(st.integers(1, 4), min_size=values.size, max_size=values.size)), np.int64)
+    # a degree is at most the number of edges, so weighted values take the bincount
+    values = values % values.dtype.type(weights.sum() + 1)
+    codes, counts, distinct = _codes_and_counts(values, weights)
+    want = _codes_and_counts(np.repeat(values, weights))
+    assert codes.dtype == want[0].dtype
+    assert np.repeat(codes, weights).tolist() == want[0].tolist()
+    assert counts.tolist() == want[1].tolist() and distinct.tolist() == want[2].tolist()
