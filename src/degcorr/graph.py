@@ -385,17 +385,10 @@ def degrees(g: DirectedGraph) -> DegreeTable:
     return DegreeTable(out, inn)
 
 
-def edge_degree_pairs(g: DirectedGraph, t: DependencyType, d: DegreeTable | None = None) -> PairSeries:
-    """Per-edge (source-side degree, target-side degree) series for a type.
-
-    d is g's DegreeTable; a caller that builds several series of one graph
-    passes it, and without it the table is built here.
-    """
-    if d is None:
-        d = degrees(g)
-    x = d.kind(t.source_kind)[g.src]
-    y = d.kind(t.target_kind)[g.tgt]
-    return PairSeries(x, y)
+def edge_degree_pairs(g: DirectedGraph, t: DependencyType) -> PairSeries:
+    """Per-edge (source-side degree, target-side degree) series for a type."""
+    d = degrees(g)
+    return PairSeries(d.kind(t.source_kind)[g.src], d.kind(t.target_kind)[g.tgt])
 
 
 def _moment_exponents(weight: str, value: str, k: int) -> tuple[int, int]:

@@ -5,9 +5,9 @@ target-side degree) of one DependencyType. row_values computes a graph's
 report rows in one pass:
 
 * per graph, the DegreeTable and each side the rows read (the out- or
-  in-degree at the edges' sources or targets: at most four), coded once
-  over the nodes by ranking._codes_and_counts, which alone picks the
-  dtype, and gathered by edge;
+  in-degree at the edges' sources or targets: at most four), gathered by
+  edge and coded once by ranking._codes_and_counts, which alone picks the
+  dtype;
 * per graph, every row's spearman_uniform seeds, spawned in type order and
   then seed order. From 2^14 edges two workers, one per core, are dealt
   whole seeds and split an odd one out by side; a side ranks by one sort
@@ -22,7 +22,8 @@ report rows in one pass:
 All numerators and variance terms are accumulated in exact integer
 arithmetic; division happens once at the end, so results are deterministic
 and reproduce closed forms to float precision. The public functions take
-the same integer sums, so they give a row's bits.
+the same integer sums, so they give a row's bits; kendall_tau and the
+rank-based ones also code their sides with _side, as a row does.
 """
 from __future__ import annotations
 
@@ -103,13 +104,14 @@ def _pair_count(m: int, least: int, measure: str) -> int:
 
 def _side(g: DirectedGraph, d: DegreeTable, end: str, kind: str) -> Side:
     """The kind degrees at the sources (end "out") or targets (end "in") of
-    g's edges: a node's degree at that end is its weight."""
-    weight = d.kind(end)
-    nodes = np.flatnonzero(weight)
-    codes, counts, distinct = _codes_and_counts(d.kind(kind)[nodes], weight[nodes])
-    node_codes = np.zeros(weight.size, codes.dtype)
-    node_codes[nodes] = codes
-    return node_codes[g.src if end == "out" else g.tgt], counts, distinct
+    g's edges, coded; the gathered int64 edge array is freed on return."""
+    return _codes_and_counts(d.kind(kind)[g.src if end == "out" else g.tgt])
+
+
+def _type_sides(g: DirectedGraph, t: DependencyType) -> tuple[Side, Side]:
+    """The (source, target) sides of type t, from one DegreeTable of g."""
+    d = degrees(g)
+    return _side(g, d, "out", t.source_kind), _side(g, d, "in", t.target_kind)
 
 
 def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
@@ -171,11 +173,7 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
     the source side, child 1 on the target side. That assignment is part of
     the reproducibility contract.
     """
-    return _spearman_uniform_seeded([(*_sides(edge_degree_pairs(g, t)), [np.random.SeedSequence(seed)])])[0]
-
-
-def _sides(p: PairSeries) -> tuple[Side, Side]:
-    return _codes_and_counts(p.x), _codes_and_counts(p.y)
+    return _spearman_uniform_seeded([(*_type_sides(g, t), [np.random.SeedSequence(seed)])])[0]
 
 
 def _spearman_uniform_seeded(
@@ -233,7 +231,7 @@ def spearman_ranked(
     depend on the particular ordering of tied entries. Like spearman_uniform
     it ranks the dense codes, which order and tie as the degrees do.
     """
-    (cx, *_), (cy, *_) = _sides(edge_degree_pairs(g, t))
+    (cx, *_), (cy, *_) = _type_sides(g, t)
     m = _pair_count(cx.size, 2, "spearman")
     rx = permutation_ranks(cx, source_policy)
     ry = permutation_ranks(cy, target_policy)
@@ -246,7 +244,7 @@ def spearman_uniform_mean(
     """Sample mean and standard error of spearman_uniform over derived seeds."""
     _check_repetitions("repetitions", repetitions, 2)
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
-    vals = np.array(_spearman_uniform_seeded([(*_sides(edge_degree_pairs(g, t)), seeds)]))
+    vals = np.array(_spearman_uniform_seeded([(*_type_sides(g, t), seeds)]))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -288,10 +286,7 @@ def concordance_counts(p: PairSeries) -> tuple[int, int]:
     Series with too many distinct values for a table of O(m) cells take a
     merge count instead.
     """
-    return _concordance_counts(*_sides(p))
-
-
-def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
+    sx, sy = _codes_and_counts(p.x), _codes_and_counts(p.y)
     (xi, xn, _), (yi, yn, _) = sx, sy
     m = xi.size
     if m < 2:
@@ -299,8 +294,8 @@ def _concordance_counts(sx: Side, sy: Side) -> tuple[int, int]:
     a, b = xn.size, yn.size
     # A degree series always fits. A side with k distinct positive values
     # has k(k+1)/2 <= m (see _codes_and_counts) and at most k+1 values, so
-    # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So every kendall_tau
-    # call, and every report row, takes the table path.
+    # a*b <= (k+1)^2 <= 2k(k+1) <= 4m since k >= 1. So kendall_tau and
+    # every report row read the table without this check.
     if a * b > 4 * m:
         return _merge_concordance_counts(xi, yi, b)
     return _table_concordance(_joint_table(sx, sy))
@@ -353,8 +348,8 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    sx, sy = _sides(edge_degree_pairs(g, t))
-    return _kendall_tau(_pair_count(sx[0].size, 2, "kendall"), *_concordance_counts(sx, sy))
+    sx, sy = _type_sides(g, t)
+    return _kendall_tau(_pair_count(sx[0].size, 2, "kendall"), *_table_concordance(_joint_table(sx, sy)))
 
 
 def _kendall_tau(m: int, nc: int, nd: int) -> float:

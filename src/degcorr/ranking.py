@@ -34,37 +34,32 @@ import numpy as np
 TiePolicy = str
 
 
-def _codes_and_counts(values: np.ndarray, weights: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """(codes, counts, distinct): each value's index among the distinct
     values, ascending, how often each distinct value occurs, and the distinct
     values themselves.
 
-    With weights (positive integers summing to less than 2^53, the values
-    being integers from 0 to that sum, as degrees are, so they take the
-    bincount), values[i] stands for weights[i] copies of itself.
-
     Codes keep the order of the values, so any rank of the codes is the same
     rank of the values. Non-negative integers no larger than the series
-    length, such as a degree series (a degree is at most m), are counted
-    with one bincount of at most size + 1 bins. Their codes are int16
-    whenever at most 2^15 values are distinct, so the highest code is 32767
-    and takes at most 15 bits of a rank key. Every degree series qualifies:
-    the k distinct positive degrees on one side belong to k distinct nodes,
-    so k(k+1)/2 <= m and a side has at most sqrt(2m) + 1 distinct values,
-    fewer than 2^15 for every m <= graph.MAX_EDGES = 2^28. With more
-    distinct values the codes stay intp; they rank the same.
+    length, such as one side of an edge degree series (a degree is at most
+    m), are counted with one bincount of at most size + 1 bins. Their codes
+    are int16 whenever at most 2^15 values are distinct, so the highest code
+    is 32767 and takes at most 15 bits of a rank key. Every degree series
+    qualifies: the k distinct positive degrees on one side belong to k
+    distinct nodes, so k(k+1)/2 <= m and a side has at most sqrt(2m) + 1
+    distinct values, fewer than 2^15 for every m <= graph.MAX_EDGES = 2^28.
+    With more distinct values the codes stay intp; they rank the same.
     Anything else (negative values, floats, a maximum above the size) takes
     np.unique, so no input asks for more bins than it has elements.
     """
     values = np.asarray(values)
-    size = values.size if weights is None else int(weights.sum())
     if (
         values.ndim == 1
         and values.dtype.kind in "iu"
         and values.min(initial=0) >= 0
-        and values.max(initial=0) <= size
+        and values.max(initial=0) <= values.size
     ):
-        hist = np.bincount(values.astype(np.intp, copy=False), weights).astype(np.int64, copy=False)
+        hist = np.bincount(values.astype(np.intp, copy=False))
         present = hist > 0
         counts = hist[present]
         code_of = (np.cumsum(present) - 1).astype(np.int16 if counts.size <= 2**15 else np.intp)

@@ -62,6 +62,8 @@ def compute_report(
     for what, chosen in (("types", types), ("measures", which)):
         if not chosen or len(set(chosen)) < len(chosen):
             raise ValueError(f"{what} must be a non-empty list without repeats, got {','.join(chosen)!r}")
+    if not set(types) <= set(TYPE_ORDER):
+        raise ValueError(f"unknown dependency type {next(t for t in types if t not in TYPE_ORDER)!r}")
     cells: dict[tuple[str, str], Cell] = {}
     root = np.random.SeedSequence(seed)
     type_seeds = dict(zip(TYPE_ORDER, root.spawn(len(TYPE_ORDER))))

@@ -129,6 +129,14 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error: ") and "without repeats" in err
 
+    @pytest.mark.parametrize("value", ["OUT_IN", "out_in,OUT_IN"])
+    def test_type_names_are_lower_case_exit_2(self, capsys, bridge_path, value):
+        # DependencyType.from_wire takes any case; a report takes the wire names
+        code, out, err = run_cli(capsys, "compute", "--input", bridge_path, "--types", value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown dependency type 'OUT_IN'\n"
+
 
 class TestGenerate:
     def test_bridge_roundtrip(self, capsys, tmp_path):

@@ -29,7 +29,6 @@ from degcorr.measures import (
     MAX_REPETITIONS,
     MEASURES,
     _rho_from_permutation_ranks,
-    _sides,
     _spearman_uniform_seeded,
     concordance_counts,
     row_values,
@@ -62,6 +61,11 @@ def lexsort_rho(p, ss):
     src, tgt = (np.random.default_rng(c).random(m) for c in ss.spawn(2))
     s = int(lexsort_ranks(p.x, src) @ lexsort_ranks(p.y, tgt))
     return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
+
+
+def _sides(p):
+    """The coded (source, target) sides of a pair series."""
+    return _codes_and_counts(p.x), _codes_and_counts(p.y)
 
 
 def tied_series(m, seed=0):
@@ -586,6 +590,18 @@ class TestKendall:
                 p = dc.edge_degree_pairs(g, t)
                 assert concordance_counts(p) == brute_concordance(p.tuples())
 
+    def test_tau_matches_brute_force(self, corpus):
+        # kendall_tau reads the same joint table as a row, so only an
+        # independent count can check either
+        for g in corpus + golden_graphs():
+            for t in dc.ALL_TYPES:
+                p = dc.edge_degree_pairs(g, t)
+                m = len(p)
+                if m < 2:
+                    continue
+                nc, nd = brute_concordance(p.tuples())
+                assert dc.kendall_tau(g, t) == 2 * (nc - nd) / (m * (m - 1))
+
     def test_concordance_bound(self, corpus):
         for g in corpus:
             p = dc.edge_degree_pairs(g, IN_OUT)
@@ -701,6 +717,32 @@ def public_row(g, t, reps, seed):
     ]
 
 
+def spy_sides(monkeypatch):
+    """Record every DegreeTable built, every _side coded, as (end, kind),
+    and every edge_degree_pairs call, through each module's binding."""
+    tables, sides, series = [], [], []
+    side, pairs = measures._side, dc.edge_degree_pairs
+
+    def degrees_spy(g):
+        tables.append(g)
+        return dc.degrees(g)
+
+    def side_spy(g, d, end, kind):
+        sides.append((end, kind))
+        return side(g, d, end, kind)
+
+    def series_spy(*args):
+        series.append(args)
+        return pairs(*args)
+
+    for module in (graph, measures, config_model):
+        monkeypatch.setattr(module, "degrees", degrees_spy)
+    for module in (graph, measures):
+        monkeypatch.setattr(module, "edge_degree_pairs", series_spy)
+    monkeypatch.setattr(measures, "_side", side_spy)
+    return tables, sides, series
+
+
 class TestCellValue:
     def test_values_and_reasons(self):
         cycle = dc.DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
@@ -735,27 +777,7 @@ class TestCellValue:
     def test_one_series_per_row(self, monkeypatch):
         # a report builds one degree table per graph, codes each of at most
         # four sides once per graph, and builds no edge series
-        tables, sides, series = [], [], []
-        side, pairs = measures._side, dc.edge_degree_pairs
-
-        def degrees_spy(g):
-            tables.append(g)
-            return dc.degrees(g)
-
-        def side_spy(g, d, end, kind):
-            sides.append((end, kind))
-            return side(g, d, end, kind)
-
-        def series_spy(*args):
-            series.append(args)
-            return pairs(*args)
-
-        # every binding of graph.degrees and graph.edge_degree_pairs
-        for module in (graph, measures, config_model):
-            monkeypatch.setattr(module, "degrees", degrees_spy)
-        for module in (graph, measures):
-            monkeypatch.setattr(module, "edge_degree_pairs", series_spy)
-        monkeypatch.setattr(measures, "_side", side_spy)
+        tables, sides, series = spy_sides(monkeypatch)
         g = dc.bridge_graph(dc.BridgeParams(3, 4))
         every_side = [("out", "out"), ("in", "in"), ("in", "out"), ("out", "in")]
         for which in MEASURES, ("pearson",), ("spearman_uniform",):
@@ -771,6 +793,25 @@ class TestCellValue:
         # the input graph, then one table and four sides per ECM draw
         assert len(tables) == 1 + 3 and tables[0] is g
         assert sorted(sides) == sorted(every_side * 3)
+        assert series == []
+
+    def test_public_functions_code_two_sides(self, monkeypatch):
+        # kendall_tau and the rank-based public functions code their sides
+        # as a row does: one degree table and two _side calls per call
+        tables, sides, series = spy_sides(monkeypatch)
+        g = dc.bridge_graph(dc.BridgeParams(3, 4))
+        calls = (
+            lambda t: dc.kendall_tau(g, t),
+            lambda t: dc.spearman_uniform(g, t, 3),
+            lambda t: dc.spearman_uniform_mean(g, t, 3, 3),
+            lambda t: dc.spearman_ranked(g, t, "by_index", "by_reverse_index"),
+        )
+        for call in calls:
+            for t in dc.ALL_TYPES:
+                call(t)
+                assert tables == [g] and sides == [("out", t.source_kind), ("in", t.target_kind)]
+                tables.clear()
+                sides.clear()
         assert series == []
 
     def test_report_path_never_sorts_for_codes(self, monkeypatch):
@@ -812,7 +853,7 @@ class TestRows:
                 got = row_values(g, [t], names, [np.random.SeedSequence(7)], 3)[0]
                 assert got == [row[MEASURES.index(name)] for name in names]
 
-    def test_node_codes_are_the_series_codes(self, corpus):
+    def test_sides_are_the_series_codes(self, corpus):
         for g in corpus + golden_graphs():
             d = dc.degrees(g)
             for t in dc.ALL_TYPES:

@@ -249,6 +249,35 @@ def test_one_prefix_run_per_code(monkeypatch, m):
         monkeypatch.undo()
 
 
+def test_thousands_of_short_runs_take_the_lexsort(monkeypatch):
+    # 12 draw bits over 3 * 2^14 values: over 10k runs of 2 to 6 keys that
+    # share (code, draw prefix), some next to each other and some with
+    # equal draws, and a longer one across sorted positions 2^14 - 2 to
+    # 2^14 + 1, where the neighbour scan moves to its second 2^14 chunk
+    m, db, chunk = 3 * 2**14, 12, 2**14
+    rng = np.random.default_rng(17)
+    lengths = rng.integers(1, 7, m)
+    starts = np.cumsum(lengths) - lengths
+    lengths[np.searchsorted(starts, chunk - 2, side="right") - 1] += 4
+    lengths = lengths[: np.searchsorted(np.cumsum(lengths), m) + 1]
+    # each run its own (code, prefix), ascending, so runs follow in sorted order
+    cells = np.sort(rng.choice(8 << db, lengths.size, replace=False))
+    cell = np.repeat(cells, lengths)[:m]
+    low = rng.integers(0, 2 ** (53 - db), m)
+    low[rng.random(m) < 0.2] = 0
+    draws_sorted = ((cell % (1 << db)) * 2 ** (53 - db) + low) / 2**53
+    order = rng.permutation(m)
+    codes = (cell >> db).astype(np.int16)[order]
+    draws = draws_sorted[order]
+    # the pairs of sorted neighbours in one run, found from the construction
+    want_pairs = np.flatnonzero(cell[1:] == cell[:-1])
+    assert np.count_nonzero(np.bincount(cell) > 1) > 10_000 and {chunk - 2, chunk - 1, chunk} <= set(want_pairs.tolist())
+    calls = spy_runs(monkeypatch)
+    got = draw_ranks(codes, draws, db)
+    assert calls == [want_pairs.tolist()]
+    assert got.tolist() == lexsort_ranks(codes, draws).tolist()
+
+
 def test_codes_that_do_not_fit_a_key_are_refused():
     # 63 code bits leave no room for two index bits, and 52 code bits at
     # 4096 values leave no draw bits for the fix-up to pack the index with
@@ -361,16 +390,3 @@ def test_codes_and_counts_match_unique(values):
     assert codes.tolist() == inverse.reshape(-1).tolist()
     assert counts.tolist() == ref_counts.tolist()
     assert distinct.tolist() == ref_distinct.tolist()
-
-
-@given(non_negative_series(), st.data())
-def test_weighted_codes_are_those_of_the_repeated_series(values, data):
-    # a node's degree at one end, weighted by its number of edges there
-    weights = np.array(data.draw(st.lists(st.integers(1, 4), min_size=values.size, max_size=values.size)), np.int64)
-    # a degree is at most the number of edges, so weighted values take the bincount
-    values = values % values.dtype.type(weights.sum() + 1)
-    codes, counts, distinct = _codes_and_counts(values, weights)
-    want = _codes_and_counts(np.repeat(values, weights))
-    assert codes.dtype == want[0].dtype
-    assert np.repeat(codes, weights).tolist() == want[0].tolist()
-    assert counts.tolist() == want[1].tolist() and distinct.tolist() == want[2].tolist()
