@@ -40,6 +40,17 @@ def _csv_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _kinds(parser: argparse.ArgumentParser, dest: str, *names: str) -> list[argparse.ArgumentParser]:
+    """One subparser per family or study, which refuses the flags it does not read, also as
+    abbreviations of its own (--n of one study for --n-grid of another). Its errors name the
+    command, as those of compute and randomize do."""
+    kinds = parser.add_subparsers(dest=dest, required=True)
+    return [
+        kinds.add_parser(name, prog=parser.prog, usage=f"%(prog)s {name} [options]", allow_abbrev=False)
+        for name in names
+    ]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="degcorr", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -53,18 +64,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("json", "csv"), default="json")
 
     g = sub.add_parser("generate", help="write a synthetic graph as an edge list")
-    g.add_argument("family", choices=("bridge", "bridge-disconnected", "bridge-collection", "iid-cm"))
-    g.add_argument("--k", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--a", type=float, default=1.0)
-    g.add_argument("--gamma", type=float, default=1.5)
-    g.add_argument("--gamma-out", type=float, default=2.5)
-    g.add_argument("--gamma-in", type=float, default=2.5)
-    g.add_argument("--xmin", type=int, default=1)
-    g.add_argument("--max-attempts", type=int, default=100_000)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
+    bridge, disconnected, collection, iid = families = _kinds(
+        g, "family", "bridge", "bridge-disconnected", "bridge-collection", "iid-cm"
+    )
+    for p in (bridge, disconnected):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+    for p in (collection, iid):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--xmin", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+    collection.add_argument("--a", type=float, default=1.0)
+    collection.add_argument("--gamma", type=float, default=1.5)
+    iid.add_argument("--gamma-out", type=float, default=2.5)
+    iid.add_argument("--gamma-in", type=float, default=2.5)
+    iid.add_argument("--max-attempts", type=int, default=100_000)
+    for p in families:
+        p.add_argument("--out", required=True)
 
     r = sub.add_parser("randomize", help="report with erased-configuration-model baseline")
     r.add_argument("--input", required=True)
@@ -74,18 +90,21 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("study", help="scaling and bridge convergence studies (CSV)")
-    s.add_argument("study", choices=("scaling", "bridge-convergence", "bridge-distribution"))
-    s.add_argument("--n-grid", default="1000,10000,100000")
-    s.add_argument("--pq", default="2,0")
-    s.add_argument("--gamma", type=float, default=1.5)
-    s.add_argument("--gamma-out", type=float)
-    s.add_argument("--gamma-in", type=float)
-    s.add_argument("--xmin", type=int, default=1)
-    s.add_argument("--a", type=float, default=1.0)
-    s.add_argument("--n", type=int, default=2000)
-    s.add_argument("--reals", type=int, default=100)
-    s.add_argument("--reps", type=int, default=20)
-    s.add_argument("--seed", type=int, default=0)
+    scaling, convergence, distribution = _kinds(s, "study", "scaling", "bridge-convergence", "bridge-distribution")
+    for p in (scaling, convergence):
+        p.add_argument("--n-grid", default="1000,10000,100000")
+    for p in (scaling, distribution):
+        p.add_argument("--gamma", type=float, default=1.5)
+        p.add_argument("--xmin", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
+    for p in (convergence, distribution):
+        p.add_argument("--a", type=float, default=1.0)
+    scaling.add_argument("--pq", default="2,0")
+    scaling.add_argument("--gamma-out", type=float)
+    scaling.add_argument("--gamma-in", type=float)
+    scaling.add_argument("--reps", type=int, default=20)
+    distribution.add_argument("--n", type=int, default=2000)
+    distribution.add_argument("--reals", type=int, default=100)
     return ap
 
 
@@ -124,17 +143,11 @@ def _emit(rep, fmt: str) -> None:
 
 def cmd_generate(args) -> int:
     if args.family in ("bridge", "bridge-disconnected"):
-        if args.k is None or args.m is None:
-            raise DegcorrError("bridge families need --k and --m")
         params = BridgeParams(args.k, args.m)
         g = bridge_graph(params) if args.family == "bridge" else disconnected_bridge_graph(params)
     elif args.family == "bridge-collection":
-        if args.n is None:
-            raise DegcorrError("bridge-collection needs --n")
         g = random_bridge_collection(args.n, args.a, PowerLawSpec(args.gamma, args.xmin), args.seed)
     else:  # iid-cm
-        if args.n is None:
-            raise DegcorrError("iid-cm needs --n")
         spec_out = PowerLawSpec(args.gamma_out, args.xmin)
         spec_in = PowerLawSpec(args.gamma_in, args.xmin)
         seq_seed, bal_seed, ecm_seed = (

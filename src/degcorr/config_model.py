@@ -14,7 +14,7 @@ import numpy as np
 from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import _exact_sum, exact_power_sum
-from .generators import PowerLawSpec, _as_rng, _pareto_floor
+from .generators import PowerLawSpec, _as_rng, _floor_cut, _pareto_transform
 from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _sorted_edge_keys, degrees
 
 
@@ -98,6 +98,23 @@ def _exact_row_sum(row: np.ndarray) -> int:
     )
 
 
+def _floor_row_sums(spec: PowerLawSpec, block: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Int64 row sums, modulo 2**64, of the draws a C-contiguous block of uniforms maps to; the block is kept.
+    tail is float64 scratch of block.size elements; the mask shares it, read before tail is written."""
+    n, low = block.shape[1], min(spec.x_min, 2**62)  # a draw below the cut maps to low
+    mask = np.greater_equal(block, _floor_cut(spec), out=tail.view(bool)[: block.size].reshape(block.shape))
+    mask[:, 0] = True  # each row keeps a mapped draw: reduceat does not sum an empty row to 0
+    idx = np.flatnonzero(mask)
+    mapped = _pareto_transform(spec, np.take(block, idx, out=tail[: idx.size], mode="clip"))  # "raise" copies out first
+    bounds = np.searchsorted(idx, np.arange(0, block.size + 1, n))  # each row's first mapped draw, and the end
+    starts = bounds[:-1]
+    floored = (n - (bounds[1:] - starts)) * low
+    sums = np.add.reduceat(mapped, starts) + floored
+    if sums.max() < 2.0**53:
+        return sums.astype(np.int64)
+    return np.add.reduceat(mapped.astype(np.int64), starts) + floored  # a float sum past 2**53 may round
+
+
 def balance_iid_sequence(
     pairs: np.ndarray,
     spec_out: PowerLawSpec,
@@ -115,12 +132,17 @@ def balance_iid_sequence(
 
     Attempts are drawn a block of rows at a time into two reused float64
     buffers of at most 2**16 elements each (one row when n is larger), so the
-    block stays in cache; row r of a block is one attempt. Row sums are taken
-    in float64: all terms are non-negative integers, so a sum below 2**53 is
-    exact, and a row is a candidate when its two sums are equal. When either
-    sum reaches 2**53, the row is a candidate when its two int64 sums agree
-    modulo 2**64 instead. Every candidate is confirmed with exact integer
-    sums before it is returned.
+    block stays in cache; row r of a block is one attempt, one uniform per
+    element in C order. A uniform below _floor_cut maps to x_min with a
+    margin of 1e-9 in X, far above rounding, so only those at or above it
+    (18% at gamma = 2.5, x_min = 1) and each row's first are mapped: a row
+    sums in float64 to x_min times its unmapped draws plus its mapped draws.
+    These are non-negative integers, so a sum below 2**53 is exact in any
+    order; when a sum of the block reaches 2**53, the block's rows are
+    summed again from the same mapped draws as int64, modulo 2**64, in any
+    order too. A row is a candidate when its two sums are equal; only
+    candidates are mapped in full, in place, and confirmed with exact
+    integer sums.
 
     Blocks are shared out in turn between up to two threads, one per core
     the process may use; each thread jumps its own copies of the streams
@@ -142,10 +164,10 @@ def balance_iid_sequence(
     rows = max(1, min(max_attempts, 2**16 // n))
     workers = min(_workers or measures._core_count(), -(-max_attempts // rows))
     seeds = np.random.SeedSequence(seed).spawn(2)
-    # the calling thread allocates every block: a thread that allocates its
-    # own gets its own malloc arena, which raised the peak RSS of `generate
-    # iid-cm --n 100000` by ~12%
-    blocks = [(np.empty((rows, n)), np.empty((rows, n))) for _ in range(workers)]
+    # the calling thread allocates every block and gather buffer: a thread
+    # that allocates its own gets its own malloc arena, which raised the peak
+    # RSS of `generate iid-cm --n 100000` by ~12%
+    blocks = [(np.empty((rows, n)), np.empty((rows, n)), np.empty(rows * n)) for _ in range(workers)]
     # worker w writes only hits[w], its balanced attempt index; a stale read
     # of min(hits) costs one more block, never a different result
     hits = [max_attempts] * workers
@@ -156,24 +178,16 @@ def balance_iid_sequence(
         for b in bits:
             b.advance(w * rows * n)
         out_rng, in_rng = (np.random.Generator(b) for b in bits)
-        out_block, in_block = blocks[w]
+        out_block, in_block, tail = blocks[w]
         for start in range(w * rows, max_attempts, workers * rows):
             if start >= min(hits) or failures:
                 return
             take = min(rows, max_attempts - start)
-            outs = _pareto_floor(spec_out, out_rng, out_block[:take])
-            inns = _pareto_floor(spec_in, in_rng, in_block[:take])
-            out_sums, in_sums = outs.sum(axis=1), inns.sum(axis=1)
-            candidates = out_sums == in_sums
-            # past 2**53 the float sums may round; exact sums that agree also
-            # agree modulo 2**64, as int64 sums
-            big = np.maximum(out_sums, in_sums) >= 2.0**53
-            if big.any():
-                candidates[big] = (
-                    outs[big].astype(np.int64).sum(axis=1) == inns[big].astype(np.int64).sum(axis=1)
-                )
-            for i in np.flatnonzero(candidates).tolist():
-                if _exact_row_sum(outs[i]) == _exact_row_sum(inns[i]):
+            out_sums = _floor_row_sums(spec_out, out_rng.random(out=out_block[:take]), tail)
+            in_sums = _floor_row_sums(spec_in, in_rng.random(out=in_block[:take]), tail)
+            for i in np.flatnonzero(out_sums == in_sums).tolist():
+                out_row, in_row = _pareto_transform(spec_out, out_block[i]), _pareto_transform(spec_in, in_block[i])
+                if _exact_row_sum(out_row) == _exact_row_sum(in_row):
                     hits[w] = start + i
                     return
             for b in bits:
@@ -185,7 +199,7 @@ def balance_iid_sequence(
     if hit == max_attempts:
         raise BalanceFailedError(max_attempts)
     # the winner stopped at once, so its block still holds the balanced row
-    out_block, in_block = blocks[hits.index(hit)]
+    out_block, in_block, _ = blocks[hits.index(hit)]
     i = hit % rows
     return np.column_stack([out_block[i].astype(np.int64), in_block[i].astype(np.int64)]), hit + 1
 

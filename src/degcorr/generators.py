@@ -108,23 +108,25 @@ def sample_integer_power_law(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _pareto_floor(spec, _as_rng(seed_or_rng), np.empty(count)).astype(np.int64)
+    return _pareto_transform(spec, _as_rng(seed_or_rng).random(count)).astype(np.int64)
 
 
-def _pareto_floor(spec: PowerLawSpec, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """Fill a C-contiguous float64 buf in place with the draws of
-    sample_integer_power_law, as integral floats, and return it.
-
-    One uniform per element, taken in C order, so filling a block of rows
-    uses the stream exactly as consecutive calls of one row each.
-    """
-    rng.random(out=buf)
+def _pareto_transform(spec: PowerLawSpec, buf: np.ndarray) -> np.ndarray:
+    """Map the uniforms in a float64 buf, in place and each on its own, to the
+    draws of sample_integer_power_law as integral floats, and return buf."""
     np.subtract(1.0, buf, out=buf)
     np.power(buf, -1.0 / spec.gamma, out=buf)
     np.multiply(buf, spec.x_min, out=buf)
     # values beyond int64 have probability ~ 2^-62 per draw for gamma >= 1
     np.minimum(buf, 2.0**62, out=buf)
     return np.floor(buf, out=buf)
+
+
+def _floor_cut(spec: PowerLawSpec) -> float:
+    """1 - (x_min / ((x_min + 1)(1 - 1e-9)))**gamma, or 0 if negative: each uniform below it has
+    X < (x_min + 1)(1 - 1e-9), a margin far wider than _pareto_transform's rounding, so maps to x_min."""
+    log_ratio = np.log1p(1 / spec.x_min) + np.log1p(-1e-9)  # log1p, expm1: accurate for tiny gamma
+    return float(-np.expm1(-spec.gamma * log_ratio)) if log_ratio > 0 else 0.0
 
 
 def iid_degree_sequence(

@@ -457,6 +457,58 @@ def test_numeric_flag_sweep(capsys, tmp_path, sweep_input, command, flag, value)
         assert all(line.startswith(("error:", "warning:")) for line in lines), err
 
 
+# A family or study reads the flags SWEEP_COMMANDS sweeps for it, and a
+# family --out; it must refuse the flags only the others of its command read,
+# which it used to ignore.
+KIND_COMMANDS = {k: v for k, v in SWEEP_COMMANDS.items() if v[0][0] in ("generate", "study")}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_COMMANDS))
+def test_kind_flags_listed(capsys, kind):
+    base, read = KIND_COMMANDS[kind]
+    code, out, _ = run_cli(capsys, *base[:2], "--help")
+    assert code == 0
+    assert set(re.findall(r"^  (--[\w-]+)", out, re.M)) - {"--out"} == set(read)
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        (k, f)
+        for k, (base, read) in KIND_COMMANDS.items()
+        for f in sorted({f for b, r in KIND_COMMANDS.values() if b[0] == base[0] for f in r} - set(read))
+    ],
+)
+def test_unread_flag_exit_2(capsys, tmp_path, kind, flag):
+    base, _ = KIND_COMMANDS[kind]
+    out_path = tmp_path / "out.txt"
+    argv = [a.format(out=out_path) for a in base]
+    value = SWEEP_LISTS.get(flag, "{}").format(2)
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    assert err.splitlines()[-1] == f"degcorr: error: unrecognized arguments: {flag} {value}"
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["study", "bridge-convergence", "--a", "2", "--n", "0"], "--n 0"),
+        (["generate", "bridge", "--k", "2", "--m", "3", "--n", "0", "--gamma-in", "-1"], "--n 0 --gamma-in -1"),
+        # not taken for an abbreviation of a flag the family reads
+        (["generate", "iid-cm", "--n", "5", "--gamma", "3"], "--gamma 3"),
+        (["generate", "bridge", "--k", "2", "--m", "3", "--max=5"], "--max=5"),
+    ],
+)
+def test_unread_flags_named(capsys, tmp_path, argv, unread):
+    if argv[0] == "generate":
+        argv = [*argv, "--out", str(tmp_path / "out.txt")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"degcorr: error: unrecognized arguments: {unread}"
+
+
 def test_unexpected_exception_exit_3(capsys, monkeypatch, bridge_path):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ import degcorr as dc
 from degcorr import BalanceFailedError, PowerLawSpec, UnbalancedStubsError
 from degcorr import config_model
 from degcorr.config_model import RewireReport, erased_configuration_model, randomization_study
-from degcorr.generators import sample_integer_power_law
+from degcorr.generators import _floor_cut, _pareto_transform, sample_integer_power_law
 
 
 class TestErasedConfigurationModel:
@@ -137,18 +138,21 @@ class TestBalanceIidSequence:
         assert attempts == 1
         assert got.tolist() == [[1, 1]] * 4
 
-    # the _stub_block tests run one worker: the stub feeds the fills from one
+    # the _stub_block tests run one worker: the stub feeds the blocks from one
     # shared iterator, so their outcome depends on the order of the calls
     @staticmethod
     def _stub_block(monkeypatch, out_rows, in_rows):
-        # the balancer fills one block of out-degree rows, then one of in-degrees
+        # the balancer sums one block of out-degree rows, then one of
+        # in-degrees; the stub puts the degrees in place of the uniforms and
+        # sums them as int64, modulo 2**64, and mapping a row to degrees keeps them
         blocks = iter([np.array(out_rows, dtype=np.float64), np.array(in_rows, dtype=np.float64)])
 
-        def fill(spec, rng, buf):
-            buf[...] = next(blocks)
-            return buf
+        def row_sums(spec, block, tail):
+            block[...] = next(blocks)
+            return block.astype(np.int64).sum(axis=1)
 
-        monkeypatch.setattr(config_model, "_pareto_floor", fill)
+        monkeypatch.setattr(config_model, "_floor_row_sums", row_sums)
+        monkeypatch.setattr(config_model, "_pareto_transform", lambda spec, buf: buf)
 
     def _balance_stubbed(self, monkeypatch, out_row, in_row):
         # attempt 1 draws the given rows, attempt 2 a balanced row of ones
@@ -160,7 +164,7 @@ class TestBalanceIidSequence:
         )
 
     def test_wrapped_row_sums_are_not_a_hit(self, monkeypatch):
-        # attempt 1's float64 sums both round to 2**53, but it is not balanced
+        # attempt 1's float64 sums would both round to 2**53, but it is not balanced
         got, attempts = self._balance_stubbed(monkeypatch, [2**53, 1], [2**53, 0])
         assert attempts == 2
         assert got.tolist() == [[1, 1]] * 2
@@ -172,7 +176,7 @@ class TestBalanceIidSequence:
         assert got.tolist() == [[1, 1]] * 4
 
     def test_balanced_row_past_float_precision_is_found(self, monkeypatch):
-        # both exact sums are 2**53 + 2, but the float64 sums differ
+        # both exact sums are 2**53 + 2, but float64 sums would differ
         out_row, in_row = [2**53, 1, 1], [2**53, 2, 0]
         assert np.sum(np.array(out_row, dtype=np.float64)) != np.sum(np.array(in_row, dtype=np.float64))
         self._stub_block(monkeypatch, [out_row, [1] * 3], [in_row, [2] * 3])
@@ -204,6 +208,130 @@ class TestBalanceIidSequence:
         a, na = dc.balance_iid_sequence(pairs, spec, spec, 9)
         b, nb = dc.balance_iid_sequence(pairs, spec, spec, 9)
         assert na == nb and np.array_equal(a, b)
+
+
+CUT_GAMMAS = [0.3, 1.0, 1.5, 2.5, 7.0, 1e9, math.inf]
+CUT_XMINS = [1, 2, 3, 1000, 2**40]
+CUT_SPECS = [PowerLawSpec(g, x) for g in CUT_GAMMAS for x in CUT_XMINS]
+
+
+def _adversarial_uniforms(spec):
+    """0, the extremes, and the uniforms up to six steps either side of the
+    cut and of the first level boundaries 1 - (x_min / (x_min + j))**gamma,
+    where floor(X) moves from x_min + j - 1 to x_min + j."""
+    x, g = spec.x_min, spec.gamma
+    edges = [_floor_cut(spec), *(-math.expm1(g * math.log(x / (x + j))) for j in range(1, 5))]
+    us = [0.0, 2.0**-53, 2.0**-52, 0.5, 1 - 2.0**-53]
+    for edge in edges:
+        down = up = edge
+        for _ in range(6):
+            down, up = np.nextafter(down, -1.0), np.nextafter(up, 2.0)
+            us += [down, up]
+        us.append(edge)
+    us = np.asarray(us)
+    return us[(us >= 0) & (us < 1)]
+
+
+def _full_sums(spec, block):
+    """Exact row sums of every uniform mapped."""
+    return [sum(int(v) for v in row) for row in _pareto_transform(spec, block.copy())]
+
+
+def _floor_row_sums(spec, block):
+    # scratch as the balancer allocates it, filled with junk
+    return config_model._floor_row_sums(spec, block, np.full(block.size, 7.0))
+
+
+def _check_row_sums(spec, block):
+    kept = block.copy()
+    got = _floor_row_sums(spec, block)
+    assert np.array_equal(block, kept)
+    assert got.dtype == np.int64
+    # the exact sums modulo 2**64, as int64
+    assert got.tolist() == [(want + 2**63) % 2**64 - 2**63 for want in _full_sums(spec, block)]
+
+
+class TestFloorRowSums:
+    """_floor_row_sums maps only the uniforms at or above _floor_cut; its sums
+    must be those of mapping every uniform."""
+
+    @pytest.mark.parametrize("spec", CUT_SPECS, ids=str)
+    def test_below_the_cut_maps_to_x_min(self, spec):
+        cut = _floor_cut(spec)
+        us = _adversarial_uniforms(spec)
+        rng = np.random.default_rng(0)
+        below = np.concatenate([us[us < cut], rng.random(10_000) * cut, rng.random(1000) * 2.0**-40])
+        below = below[below < cut]
+        assert np.all(_pareto_transform(spec, below.copy()) == spec.x_min)
+        # at or above the cut a uniform may map to x_min or above, never below
+        assert np.all(_pareto_transform(spec, us[us >= cut].copy()) >= min(spec.x_min, 2**62))
+
+    @pytest.mark.parametrize("gamma", CUT_GAMMAS)
+    def test_cut_is_zero_for_huge_x_min(self, gamma):
+        # every draw is mapped
+        assert _floor_cut(PowerLawSpec(gamma, 2**40)) == 0.0
+        assert 0.0 < _floor_cut(PowerLawSpec(gamma, 1000)) <= 1.0
+
+    @pytest.mark.parametrize("spec", CUT_SPECS, ids=str)
+    def test_adversarial_rows_match_full_transform(self, spec):
+        us = _adversarial_uniforms(spec)
+        rng = np.random.default_rng(1)
+        row = rng.permutation(np.concatenate([us, rng.random(3000)]))
+        _check_row_sums(spec, row.reshape(1, -1))
+        # the same uniforms as short rows of a 2-D block, by each path
+        for n in (1, 7, 63, 64, 300):
+            rows = row[: row.size // n * n].reshape(-1, n)
+            _check_row_sums(spec, rows)
+
+    @pytest.mark.parametrize("shape", [(65, 1000), (2, 30000), (218, 300), (1040, 63), (1024, 64), (9362, 7), (65536, 1)])
+    @pytest.mark.parametrize("gamma", [1.5, 2.5, 7.0])
+    def test_blocks_of_rows(self, shape, gamma):
+        spec = PowerLawSpec(gamma, 1)
+        block = np.random.default_rng(2).random(shape)
+        # rows with no mapped draw first, in between and last
+        for r in (0, shape[0] // 2, shape[0] - 1):
+            block[r] = 0.0
+        _check_row_sums(spec, block)
+
+    @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16 + 1, 100_000])
+    @pytest.mark.parametrize("gamma", [0.3, 1.5, 2.5])
+    def test_single_rows(self, n, gamma):
+        spec = PowerLawSpec(gamma, 1)
+        block = np.random.default_rng(3).random((1, n))
+        _check_row_sums(spec, block)
+        _check_row_sums(spec, np.zeros((1, n)))  # no mapped draw
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 300), (1, 2**16 + 2)])
+    @pytest.mark.parametrize("past", ["all", "last"])
+    def test_rows_past_2_53(self, shape, past):
+        # gamma 0.3 maps uniforms near 1 to ~2**62: a few such draws pass
+        # 2**53, and four wrap an int64 sum; the rows below 2**53 of the same
+        # block must still sum exactly
+        spec = PowerLawSpec(0.3, 1)
+        block = np.random.default_rng(4).random(shape) * 0.5
+        big = slice(None) if past == "all" else slice(-1, None)
+        block[big, :3] = 1 - 2.0**-53
+        block[-1, 1:5] = 1 - 2.0**-53
+        sums = _full_sums(spec, block)
+        assert min(sums[big]) >= 2**53 and max(sums) >= 2**64
+        assert past == "all" or shape[0] == 1 or max(sums[:-1]) < 2**53
+        _check_row_sums(spec, block)
+
+    @pytest.mark.parametrize("spec", [PowerLawSpec(g, 1) for g in (0.3, 1.5, 2.5)] + [PowerLawSpec(1.5, 2**40)], ids=str)
+    def test_gathered_transform_matches_full_row(self, spec):
+        # every uniform must map the same wherever it sits in the array, so
+        # that a gathered draw equals the same draw mapped in its full row;
+        # lengths 1 to 257 and shifts 0 to 8 put it in every SIMD lane and
+        # in the remainder
+        rng = np.random.default_rng(5)
+        us = np.concatenate([_adversarial_uniforms(spec), rng.random(300)])
+        for length in range(1, 258):
+            row = rng.choice(us, length)
+            full = _pareto_transform(spec, row.copy())
+            idx = np.flatnonzero(row >= _floor_cut(spec))
+            assert np.array_equal(_pareto_transform(spec, row.take(idx)), full[idx])
+            for shift in range(1, min(9, length)):
+                assert np.array_equal(_pareto_transform(spec, row[shift:].copy()), full[shift:])
 
 
 def _naive_balance(pairs, spec_out, spec_in, seed, max_attempts):
@@ -308,38 +436,38 @@ class TestBalanceStreams:
         "fail_on_main, exc", [(False, MemoryError("fill")), (True, KeyboardInterrupt("fill"))]
     )
     def test_worker_failure_raised_in_caller(self, monkeypatch, fail_on_main, exc):
-        # every fill on one side of the main thread raises; the draws never
+        # every row sum on one side of the main thread raises; the draws never
         # balance, so the other worker would run ~5,300 blocks if not stopped
-        fill = config_model._pareto_floor
-        other_fills = []
+        row_sums = config_model._floor_row_sums
+        other_sums = []
 
-        def failing(spec, rng, buf):
+        def failing(spec, block, tail):
             if (threading.current_thread() is threading.main_thread()) == fail_on_main:
                 raise exc
-            other_fills.append(1)
-            return fill(spec, rng, buf)
+            other_sums.append(1)
+            return row_sums(spec, block, tail)
 
-        monkeypatch.setattr(config_model, "_pareto_floor", failing)
+        monkeypatch.setattr(config_model, "_floor_row_sums", failing)
         out_spec, in_spec = PowerLawSpec(1e9, 2), PowerLawSpec(1e9, 1)
         pairs = np.array([[2, 1]] * 7)
         threads = threading.active_count()
         with pytest.raises(type(exc), match="fill"):
             dc.balance_iid_sequence(pairs, out_spec, in_spec, 4, 10**8, _workers=2)
         assert threading.active_count() == threads
-        assert len(other_fills) < 1000
+        assert len(other_sums) < 1000
 
     def test_lowest_hit_wins_when_the_second_worker_hits_first(self, monkeypatch):
         # at n=1000 the streams of seed 24 balance on attempts 678 (block 10,
-        # first worker) and 721 (block 11, second worker); slowed fills on the
-        # main thread let the second worker confirm its hit first
-        fill = config_model._pareto_floor
+        # first worker) and 721 (block 11, second worker); slowed row sums on
+        # the main thread let the second worker confirm its hit first
+        row_sums = config_model._floor_row_sums
 
-        def slow_on_main(spec, rng, buf):
+        def slow_on_main(spec, block, tail):
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.02)
-            return fill(spec, rng, buf)
+            return row_sums(spec, block, tail)
 
-        monkeypatch.setattr(config_model, "_pareto_floor", slow_on_main)
+        monkeypatch.setattr(config_model, "_floor_row_sums", slow_on_main)
         spec = PowerLawSpec(1.5, 1)
         pairs = np.array([[1, 0]] * 1000)
         want, hit = _naive_balance(pairs, spec, spec, 24, 800)
