@@ -40,6 +40,12 @@ def _csv_list(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
+def _seed(value: str) -> int:
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return int(value)
+
+
 def _kinds(parser: argparse.ArgumentParser, dest: str, *names: str) -> list[argparse.ArgumentParser]:
     """One subparser per family or study, which refuses the flags it does not read, also as
     abbreviations of its own (--n of one study for --n-grid of another). Its errors name the
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True)
     c.add_argument("--measures", default=",".join(report_mod.MEASURE_ORDER))
     c.add_argument("--types", default=",".join(report_mod.TYPE_ORDER))
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--rho-reps", type=int, default=3)
     c.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (collection, iid):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--xmin", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     collection.add_argument("--a", type=float, default=1.0)
     collection.add_argument("--gamma", type=float, default=1.5)
     iid.add_argument("--gamma-out", type=float, default=2.5)
@@ -86,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True)
     r.add_argument("--reps", type=int, default=20)
     r.add_argument("--rho-reps", type=int, default=3)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("study", help="scaling and bridge convergence studies (CSV)")
@@ -96,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (scaling, distribution):
         p.add_argument("--gamma", type=float, default=1.5)
         p.add_argument("--xmin", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
     for p in (convergence, distribution):
         p.add_argument("--a", type=float, default=1.0)
     scaling.add_argument("--pq", default="2,0")

@@ -39,8 +39,8 @@ from ._exact import _block_sum, _exact_sum, exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents, degrees,
                     edge_degree_pairs, vertex_moment_sum)
-from .ranking import (_codes_and_counts, _doubled_ranks, _key_bits, _packed_ranks, _rank_buffers,
-                      average_ranks_doubled, permutation_ranks)
+from .ranking import (_codes_and_counts, _doubled_ranks, _packed_ranks, _rank_buffers, average_ranks_doubled,
+                      permutation_ranks)
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
 
@@ -189,9 +189,9 @@ def _spearman_uniform_seeded(
     source side, worker 1 its target side, and the caller forms its rho.
     """
     m = _pair_count(rows[0][0][0].size, 2, "spearman")
-    tasks = [(cx, _key_bits(cx), cy, _key_bits(cy), ss) for (cx, *_), (cy, *_), seeds in rows for ss in seeds]
+    tasks = [(cx, cy, ss) for (cx, *_), (cy, *_), seeds in rows for ss in seeds]
     workers = min(_workers or (_core_count() if m >= _THREADED_EDGES else 1), 2 * len(tasks))
-    halves = tasks[-1][4].spawn(2) if len(tasks) % workers else []
+    halves = tasks[-1][2].spawn(2) if len(tasks) % workers else []
     desc = np.arange(m, 0, -1, dtype=np.int32)
     # allocated on the calling thread, so that no helper grows a malloc arena;
     # a worker's draws, keys, chunk and ranks serve each of its seeds
@@ -204,14 +204,14 @@ def _spearman_uniform_seeded(
         for i in range(w, len(tasks) - bool(halves), workers):
             if failures:
                 return
-            cx, bx, cy, by, ss = tasks[i]
+            cx, cy, ss = tasks[i]
             src, tgt = ss.spawn(2)
-            _packed_ranks(cx, bx, np.random.default_rng(src), keyed, desc, rx)
-            _packed_ranks(cy, by, np.random.default_rng(tgt), keyed, desc, ry)
+            _packed_ranks(cx, np.random.default_rng(src), keyed, desc, rx)
+            _packed_ranks(cy, np.random.default_rng(tgt), keyed, desc, ry)
             # the keys are free once both sides are ranked, and take the products
             rhos[i] = _rho_from_permutation_ranks(rx, ry, keyed[1].view(np.int64))
         if w < len(halves) and not failures:
-            _packed_ranks(*tasks[-1][2 * w : 2 * w + 2], np.random.default_rng(halves[w]), keyed, desc, (rx, ry)[w])
+            _packed_ranks(tasks[-1][w], np.random.default_rng(halves[w]), keyed, desc, (rx, ry)[w])
 
     _in_parallel(work, workers)
     if halves:

@@ -21,11 +21,11 @@ order of ``np.lexsort((tiebreak, values))``, with one in-place sort of a
 uint64 key per value: from the high bits down, its dense code, the top db
 bits of its draw (a random() draw is exactly k / 2**53, so they carry no
 rounding; by_index and by_reverse_index have none) and its index, from
-which the order is read. A run of neighbours whose keys differ only in the
-index is sorted again by the draws' other bits and the index, so the ranks
-are the lexsort's even for equal draws. A degree series leaves db >= 21,
-and such runs are rare. The public functions return int64 ranks;
-spearman_uniform keeps its ranks in int32.
+which the order is read. Neighbours whose keys differ only in the index
+form runs, and one lexsort of every run's members by (run, draw, index)
+puts them in the lexsort's order even for equal draws. A degree series
+leaves db >= 21, and such runs are rare. The public functions return int64
+ranks; spearman_uniform keeps its ranks in int32.
 """
 from __future__ import annotations
 
@@ -93,12 +93,13 @@ def _key_bits(codes: np.ndarray, draw_bits: int = 53) -> tuple[int, int]:
 
     The index takes ib = (m - 1).bit_length() bits, and db <= draw_bits draw
     bits lie between it and the code. A degree series leaves db >= 21 (codes
-    below 2^15, m <= 2^28). _reorder_runs needs 53 - db + ib <= 64.
+    below 2^15, m <= 2^28). Codes whose bits and the index's exceed 64 are
+    refused.
     """
     ib = (codes.size - 1).bit_length()
     cb = int(codes.max(initial=0)).bit_length()
     db = min(draw_bits, 64 - ib - cb)
-    if db < 0 or (draw_bits and 53 - db + ib > 64):
+    if db < 0:
         raise ValueError(f"{codes.size} values with {cb}-bit codes do not fit a 64-bit rank key")
     return ib, db
 
@@ -112,15 +113,15 @@ def _rank_buffers(m: int) -> tuple[np.ndarray, ...]:
 
 
 def _packed_ranks(
-    codes: np.ndarray, bits: tuple[int, int], rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray,
-    out: np.ndarray | None = None,
+    codes: np.ndarray, rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray,
+    out: np.ndarray | None = None, *, draw_bits: int = 53,
 ) -> np.ndarray:
     """Descending ranks, in desc's dtype (desc is m, m - 1, ..., 1), in the
     order of np.lexsort((draws, codes)), the draws being rng.random(m); with
-    no rng, db is 0 and the order is by (code, index). bits is
-    _key_bits(codes), buffers, from _rank_buffers, are overwritten, and so
-    is out, when given, which then holds the ranks."""
-    ib, db = bits
+    no rng the order is by (code, index). The key takes the top db <=
+    draw_bits bits of each draw (see _key_bits). buffers, from _rank_buffers,
+    are overwritten, and so is out, when given, which then holds the ranks."""
+    ib, db = _key_bits(codes, draw_bits if rng is not None else 0)
     draws, keys, scratch, index = buffers
     if rng is not None:
         rng.random(out=draws)
@@ -137,33 +138,31 @@ def _packed_ranks(
             part += j
     keys.sort()
     # Neighbours whose keys differ only in the index share (code, draw
-    # prefix); with no draw bits or all 53 of them they are in order already.
+    # prefix); with no rng or all 53 draw bits they are in order already.
     mask = (1 << ib) - 1
     pairs = []
-    stop = keys.size - 1 if 0 < db < 53 else 0
+    stop = keys.size - 1 if rng is not None and db < 53 else 0
     for j in range(0, stop, scratch.size):
         gap = scratch[: keys.size - 1 - j]
         np.bitwise_xor(keys[j + 1 : j + 1 + gap.size], keys[j : j + gap.size], out=gap)
         if gap.min() <= mask:
             pairs.append(np.flatnonzero(gap <= mask) + j)
     if pairs:
-        _reorder_runs(keys, np.concatenate(pairs), draws, ib, db)
+        _reorder_runs(keys, np.concatenate(pairs), draws, ib)
     np.bitwise_and(keys, mask, out=keys)
     ranks = np.empty(keys.size, desc.dtype) if out is None else out
     ranks[keys.view(np.int64)] = desc
     return ranks
 
 
-def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: int, db: int) -> None:
-    """Sort each run of keys that share (code, draw prefix) by (draw, index);
-    pairs holds, ascending, each p whose keys p and p + 1 share them. A run's
-    draws differ only in their low 53 - db bits, packed here with the index."""
-    mask = (1 << ib) - 1
-    for run in np.split(pairs, np.flatnonzero(np.diff(pairs) > 1) + 1):
-        seg = keys[run[0] : run[-1] + 2]
-        index = seg & mask
-        low = (draws[index] * 2.0**53).astype(np.uint64) & ((1 << (53 - db)) - 1)
-        seg[:] = np.sort(low << ib | index)
+def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: int) -> None:
+    """Sort every run of keys that share (code, draw prefix) by (draw, index)
+    in one lexsort, keeping only the index bits. pairs holds, ascending, each
+    p whose keys p and p + 1 share them, and a run starts where p - 1 is not."""
+    members = np.union1d(pairs, pairs + 1)
+    run = np.cumsum(~np.isin(members - 1, pairs))
+    index = keys[members] & ((1 << ib) - 1)
+    keys[members] = index[np.lexsort((index, draws[index], run))]
 
 
 def permutation_ranks(
@@ -181,8 +180,7 @@ def permutation_ranks(
     step = -1 if policy == "by_reverse_index" else 1
     codes = _codes_and_counts(values[::step])[0]
     rng = rng if policy == "uniform_random" else None
-    bits = _key_bits(codes, 0 if rng is None else 53)
-    return _packed_ranks(codes, bits, rng, _rank_buffers(values.size), np.arange(values.size, 0, -1))[::step]
+    return _packed_ranks(codes, rng, _rank_buffers(values.size), np.arange(values.size, 0, -1))[::step]
 
 
 def rank_with_ties(values, policy: TiePolicy, seed: int | None = None) -> np.ndarray:

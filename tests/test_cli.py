@@ -457,6 +457,19 @@ def test_numeric_flag_sweep(capsys, tmp_path, sweep_input, command, flag, value)
         assert all(line.startswith(("error:", "warning:")) for line in lines), err
 
 
+@pytest.mark.parametrize("command", [c for c, (_, flags) in SWEEP_COMMANDS.items() if "--seed" in flags])
+def test_negative_seed_names_its_flag(capsys, tmp_path, sweep_input, command):
+    # numpy refuses a negative seed without naming the flag; argparse does
+    base, _ = SWEEP_COMMANDS[command]
+    out_path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *(a.format(input=sweep_input, out=out_path) for a in base), "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert not out_path.exists()
+    assert err.splitlines()[-1] == (
+        f"degcorr {base[0]}: error: argument --seed: expected a non-negative integer, got -1"
+    )
+
+
 # A family or study reads the flags SWEEP_COMMANDS sweeps for it, and a
 # family --out; it must refuse the flags only the others of its command read,
 # which it used to ignore.

@@ -176,7 +176,7 @@ def test_tie_anywhere_in_the_sorted_draws_takes_the_lexsort(monkeypatch, tied_at
     draws[draws == tied_at / 10_000] = (tied_at - 1) / 10_000
     calls = spy_runs(monkeypatch)
     buffers = _rank_buffers(values.size)[:2] + (np.empty(4096, np.uint64), np.arange(4096, dtype=np.uint64))
-    got = _packed_ranks(values, _key_bits(values), RepeatedDraws(draws), buffers, np.arange(10_000, 0, -1))
+    got = _packed_ranks(values, RepeatedDraws(draws), buffers, np.arange(10_000, 0, -1))
     assert calls == [[tied_at - 1]]
     assert got.tolist() == lexsort_ranks(values, draws).tolist()
 
@@ -184,8 +184,7 @@ def test_tie_anywhere_in_the_sorted_draws_takes_the_lexsort(monkeypatch, tied_at
 def draw_ranks(codes, draws, draw_bits=53, dtype=np.int64):
     """_packed_ranks of codes and draws, in fresh buffers."""
     desc = np.arange(codes.size, 0, -1, dtype=dtype)
-    bits = _key_bits(codes, draw_bits)
-    return _packed_ranks(codes, bits, RepeatedDraws(draws), _rank_buffers(codes.size), desc)
+    return _packed_ranks(codes, RepeatedDraws(draws), _rank_buffers(codes.size), desc, draw_bits=draw_bits)
 
 
 def test_permutation_ranks_stay_int64():
@@ -278,17 +277,26 @@ def test_thousands_of_short_runs_take_the_lexsort(monkeypatch):
     assert got.tolist() == lexsort_ranks(codes, draws).tolist()
 
 
+def test_keys_without_draw_bits_take_the_lexsort(monkeypatch):
+    # 52 code bits at 4096 values leave no draw bits, so the keys of each of
+    # the four codes form one run, which the fix-up orders by (draw, index),
+    # equal draws included
+    rng = np.random.default_rng(51)
+    codes = np.array([0, 2**49, 2**50, 2**51])[rng.integers(0, 4, 4096)]
+    codes[:4] = [0, 2**49, 2**50, 2**51]
+    assert _key_bits(codes) == (12, 0)
+    draws = np.floor(rng.random(4096) * 64) / 64
+    calls = spy_runs(monkeypatch)
+    got = draw_ranks(codes, draws)
+    assert [len(pairs) for pairs in calls] == [4096 - 4]
+    assert got.tolist() == lexsort_ranks(codes, draws).tolist()
+
+
 def test_codes_that_do_not_fit_a_key_are_refused():
-    # 63 code bits leave no room for two index bits, and 52 code bits at
-    # 4096 values leave no draw bits for the fix-up to pack the index with
+    # 63 code bits leave no room for two index bits
     assert _key_bits(np.array([2**61, 0, 0, 0])) == (2, 0)
     with pytest.raises(ValueError, match="64-bit rank key"):
         _key_bits(np.array([2**62, 0, 0, 0]))
-    codes = np.zeros(4096, dtype=np.int64)
-    codes[0] = 2**51
-    assert _key_bits(codes, 0) == (12, 0)
-    with pytest.raises(ValueError, match="64-bit rank key"):
-        _key_bits(codes)
 
 
 SPECIAL_FLOATS = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.0, -1.5]
