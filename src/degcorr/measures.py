@@ -10,8 +10,8 @@ report rows in one pass:
   dtype;
 * per graph, every row's spearman_uniform seeds, spawned in type order and
   then seed order. From 2^14 edges two workers, one per core, are dealt
-  whole seeds and split an odd one out by side; a side ranks by one sort
-  of packed (code, draw, index) keys (see ranking), and each rho goes
+  whole seeds and split an odd one out by side; a side is ordered by one
+  sort of packed (code, draw, index) keys (see ranking), and each rho goes
   into its seed's slot, so no value depends on the number of workers;
 * per row, one joint table C = bincount(code_x * b + code_y), b being the
   number of distinct y values. Pearson reads sum(xy) = x . (C @ y) over
@@ -39,7 +39,7 @@ from ._exact import _block_sum, _exact_sum, exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
 from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents, degrees,
                     edge_degree_pairs, vertex_moment_sum)
-from .ranking import (_codes_and_counts, _doubled_ranks, _packed_ranks, _rank_buffers, average_ranks_doubled,
+from .ranking import (_codes_and_counts, _doubled_ranks, _packed_order, _rank_buffers, average_ranks_doubled,
                       permutation_ranks)
 
 MEASURES = ("pearson", "spearman_uniform", "spearman_average", "kendall")
@@ -183,10 +183,9 @@ def _spearman_uniform_seeded(
     row of one graph, in row order and then seed order; at least one seed.
 
     Worker w, of one per core from m = 2^14 on, takes seeds w, w + workers,
-    ...; it spawns each one's (source, target) children, ranks both sides
-    into its own buffers and writes the rho into the seed's slot. When the
-    seeds do not divide evenly, the last one is split: worker 0 ranks its
-    source side, worker 1 its target side, and the caller forms its rho.
+    ...: in its own buffers it ranks each one's target side and gathers the
+    ranks by the source side's order. Worker 0 ranks the source side and
+    worker 1 the target side of an odd seed out, and the caller forms its rho.
     """
     m = _pair_count(rows[0][0][0].size, 2, "spearman")
     tasks = [(cx, cy, ss) for (cx, *_), (cy, *_), seeds in rows for ss in seeds]
@@ -195,27 +194,29 @@ def _spearman_uniform_seeded(
     desc = np.arange(m, 0, -1, dtype=np.int32)
     # allocated on the calling thread, so that no helper grows a malloc arena;
     # a worker's draws, keys, chunk and ranks serve each of its seeds
-    buffers = [(_rank_buffers(m), np.empty(m, np.int32), np.empty(m, np.int32)) for _ in range(workers)]
+    buffers = [(_rank_buffers(m), np.empty(m, np.int32)) for _ in range(workers)]
     rhos = [0.0] * len(tasks)
 
     def work(w: int, failures: list[BaseException]) -> None:
         # calls no public function: perfbench traces those on one span stack
-        keyed, rx, ry = buffers[w]
+        keyed, ry = buffers[w]
+        spent = keyed[0].view(np.int32)[:m]
         for i in range(w, len(tasks) - bool(halves), workers):
             if failures:
                 return
             cx, cy, ss = tasks[i]
             src, tgt = ss.spawn(2)
-            _packed_ranks(cx, np.random.default_rng(src), keyed, desc, rx)
-            _packed_ranks(cy, np.random.default_rng(tgt), keyed, desc, ry)
-            # the keys are free once both sides are ranked, and take the products
-            rhos[i] = _rho_from_permutation_ranks(rx, ry, keyed[1].view(np.int64))
+            ry[_packed_order(cy, np.random.default_rng(tgt), keyed)] = desc
+            order = _packed_order(cx, np.random.default_rng(src), keyed)
+            # sum(rx * ry) = sum(desc * ry[order]); "raise" would copy out first
+            np.take(ry, order, out=spent, mode="clip")
+            rhos[i] = _rho_from_permutation_ranks(desc, spent, order)
         if w < len(halves) and not failures:
-            _packed_ranks(tasks[-1][w], np.random.default_rng(halves[w]), keyed, desc, (rx, ry)[w])
+            ry[_packed_order(tasks[-1][w], np.random.default_rng(halves[w]), keyed)] = desc
 
     _in_parallel(work, workers)
     if halves:
-        rhos[-1] = _rho_from_permutation_ranks(buffers[0][1], buffers[1][2], buffers[0][0][1].view(np.int64))
+        rhos[-1] = _rho_from_permutation_ranks(buffers[0][1], buffers[1][1], buffers[0][0][1].view(np.int64))
     return rhos
 
 
@@ -379,6 +380,7 @@ def row_values(
     children = [ss.spawn(rho_reps) for ss in seeds] if "spearman_uniform" in names else []
     keys = [(("out", t.source_kind), ("in", t.target_kind)) for t in types]
     coded = {key: _side(g, d, *key) for key in dict.fromkeys(key for pair in keys for key in pair)}
+    del d  # no row reads the degrees once the sides are coded; free them before the tie-break buffers
     pairs = [(coded[x], coded[y]) for x, y in keys]
     rhos = _spearman_uniform_seeded([(*p, c) for p, c in zip(pairs, children)]) if children and m >= 2 else []
     rows = []

@@ -17,15 +17,14 @@ Tie policies:
 Every policy preserves the total rank sum n*(n+1)/2.
 
 A permutation policy orders the series by (value, tiebreak) ascending, the
-order of ``np.lexsort((tiebreak, values))``, with one in-place sort of a
-uint64 key per value: from the high bits down, its dense code, the top db
-bits of its draw (a random() draw is exactly k / 2**53, so they carry no
-rounding; by_index and by_reverse_index have none) and its index, from
-which the order is read. Neighbours whose keys differ only in the index
-form runs, and one lexsort of every run's members by (run, draw, index)
-puts them in the lexsort's order even for equal draws. A degree series
-leaves db >= 21, and such runs are rare. The public functions return int64
-ranks; spearman_uniform keeps its ranks in int32.
+order of ``np.lexsort((tiebreak, values))``: by_index and by_reverse_index
+with one stable sort of the dense codes, uniform_random with one in-place
+sort of a uint64 key per value: from the high bits down, its dense code, the
+top db bits of its draw (a random() draw is exactly k / 2**53, so they carry
+no rounding) and its index, from which the order is read. Neighbours whose
+keys differ only in the index form runs, and one lexsort of every run's
+members by (run, draw, index) puts them in the lexsort's order even for
+equal draws. A degree series leaves db >= 21, and such runs are rare.
 """
 from __future__ import annotations
 
@@ -105,26 +104,20 @@ def _key_bits(codes: np.ndarray, draw_bits: int = 53) -> tuple[int, int]:
 
 
 def _rank_buffers(m: int) -> tuple[np.ndarray, ...]:
-    """(draws, keys, scratch, index) for _packed_ranks: m zeroed float64
-    draws, m uint64 keys, and a chunk of up to 2^14 uint64 values and its
-    indices, in which the keys are built and their neighbours compared."""
+    """(draws, keys, scratch, index) for _packed_order: m float64 draws, m
+    uint64 keys, and a chunk of up to 2^14 uint64 values and its indices, in
+    which the keys are built and their neighbours compared."""
     chunk = min(max(m, 1), 2**14)
-    return np.zeros(m), np.empty(m, np.uint64), np.empty(chunk, np.uint64), np.arange(chunk, dtype=np.uint64)
+    return np.empty(m), np.empty(m, np.uint64), np.empty(chunk, np.uint64), np.arange(chunk, dtype=np.uint64)
 
 
-def _packed_ranks(
-    codes: np.ndarray, rng: np.random.Generator | None, buffers: tuple, desc: np.ndarray,
-    out: np.ndarray | None = None, *, draw_bits: int = 53,
-) -> np.ndarray:
-    """Descending ranks, in desc's dtype (desc is m, m - 1, ..., 1), in the
-    order of np.lexsort((draws, codes)), the draws being rng.random(m); with
-    no rng the order is by (code, index). The key takes the top db <=
-    draw_bits bits of each draw (see _key_bits). buffers, from _rank_buffers,
-    are overwritten, and so is out, when given, which then holds the ranks."""
-    ib, db = _key_bits(codes, draw_bits if rng is not None else 0)
+def _packed_order(codes: np.ndarray, rng: np.random.Generator, buffers: tuple, *, draw_bits: int = 53) -> np.ndarray:
+    """np.lexsort((draws, codes)), draws = rng.random(m), as an int64 view of
+    the keys of buffers (see _rank_buffers), all of which it overwrites; the
+    key takes the top db <= draw_bits bits of each draw (see _key_bits)."""
+    ib, db = _key_bits(codes, draw_bits)
     draws, keys, scratch, index = buffers
-    if rng is not None:
-        rng.random(out=draws)
+    rng.random(out=draws)
     for j in range(0, keys.size, scratch.size):
         part = keys[j : j + scratch.size]
         chunk = scratch[: part.size]
@@ -138,11 +131,10 @@ def _packed_ranks(
             part += j
     keys.sort()
     # Neighbours whose keys differ only in the index share (code, draw
-    # prefix); with no rng or all 53 draw bits they are in order already.
+    # prefix); with all 53 draw bits they are in order already.
     mask = (1 << ib) - 1
     pairs = []
-    stop = keys.size - 1 if rng is not None and db < 53 else 0
-    for j in range(0, stop, scratch.size):
+    for j in range(0, keys.size - 1 if db < 53 else 0, scratch.size):
         gap = scratch[: keys.size - 1 - j]
         np.bitwise_xor(keys[j + 1 : j + 1 + gap.size], keys[j : j + gap.size], out=gap)
         if gap.min() <= mask:
@@ -150,17 +142,18 @@ def _packed_ranks(
     if pairs:
         _reorder_runs(keys, np.concatenate(pairs), draws, ib)
     np.bitwise_and(keys, mask, out=keys)
-    ranks = np.empty(keys.size, desc.dtype) if out is None else out
-    ranks[keys.view(np.int64)] = desc
-    return ranks
+    return keys.view(np.int64)
 
 
 def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: int) -> None:
     """Sort every run of keys that share (code, draw prefix) by (draw, index)
     in one lexsort, keeping only the index bits. pairs holds, ascending, each
-    p whose keys p and p + 1 share them, and a run starts where p - 1 is not."""
-    members = np.union1d(pairs, pairs + 1)
-    run = np.cumsum(~np.isin(members - 1, pairs))
+    p whose keys p and p + 1 share them; a run starts where p - 1 is not one
+    and ends at its last p + 1. A scan finds both (np.isin would hash)."""
+    first = np.diff(pairs, prepend=-2) != 1
+    last = np.append(np.flatnonzero(first[1:]), pairs.size - 1)
+    members = np.insert(pairs, last + 1, pairs[last] + 1)
+    run = np.cumsum(np.insert(first, last + 1, False))
     index = keys[members] & ((1 << ib) - 1)
     keys[members] = index[np.lexsort((index, draws[index], run))]
 
@@ -170,7 +163,7 @@ def permutation_ranks(
     policy: TiePolicy,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Integer ranks 1..n (a permutation), ties resolved per policy."""
+    """Int64 ranks 1..n (a permutation), ties resolved per policy."""
     values = np.asarray(values)
     if policy not in ("by_index", "by_reverse_index", "uniform_random"):
         raise ValueError(f"unknown permutation tie policy {policy!r}")
@@ -179,8 +172,14 @@ def permutation_ranks(
     # by_reverse_index ranks the reversed series by index
     step = -1 if policy == "by_reverse_index" else 1
     codes = _codes_and_counts(values[::step])[0]
-    rng = rng if policy == "uniform_random" else None
-    return _packed_ranks(codes, rng, _rank_buffers(values.size), np.arange(values.size, 0, -1))[::step]
+    if policy == "uniform_random":
+        order = _packed_order(codes, rng, _rank_buffers(values.size))
+    else:
+        # a radix sort on the int16 codes of every degree series
+        order = np.argsort(codes, kind="stable")
+    ranks = np.empty(values.size, np.int64)
+    ranks[order] = np.arange(values.size, 0, -1)
+    return ranks[::step]
 
 
 def rank_with_ties(values, policy: TiePolicy, seed: int | None = None) -> np.ndarray:

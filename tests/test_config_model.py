@@ -283,6 +283,15 @@ class TestFloorRowSums:
             rows = row[: row.size // n * n].reshape(-1, n)
             _check_row_sums(spec, rows)
 
+    def test_float_sum_of_2_53_is_summed_again(self, monkeypatch):
+        # 2^53 + 1 rounds to even in float64, so a float row sum of exactly
+        # 2^53 may stand for 2^53 + 1: only a sum below 2^53 is exact
+        spec = PowerLawSpec(2.5, 1)
+        block = np.array([[0.98, 0.99]])
+        assert block.min() >= _floor_cut(spec)
+        monkeypatch.setattr(config_model, "_pareto_transform", lambda spec, u: np.where(u < 0.985, 2.0**53, 1.0))
+        assert _floor_row_sums(spec, block).tolist() == [2**53 + 1]
+
     @pytest.mark.parametrize("shape", [(65, 1000), (2, 30000), (218, 300), (1040, 63), (1024, 64), (9362, 7), (65536, 1)])
     @pytest.mark.parametrize("gamma", [1.5, 2.5, 7.0])
     def test_blocks_of_rows(self, shape, gamma):

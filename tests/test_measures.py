@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,10 +308,11 @@ class TestSpearmanUniformThreads:
     )
     def test_batches_do_not_change_the_rhos(self, monkeypatch, m, reps, batches):
         # the calling thread is dealt seeds 0, 2, 4, ... and the helper 1, 3,
-        # 5, ...; of an odd count, the last seed's source side is ranked on
-        # the calling thread and its target side on the helper. batches
-        # counts the source sides each thread ranks; each rho lands in its
-        # seed's slot
+        # 5, ...; within a seed the target side is ranked before the source
+        # side is ordered. Of an odd count, the last seed's source side is
+        # ranked on the calling thread and its target side on the helper.
+        # batches counts the source sides each thread takes; each rho lands
+        # in its seed's slot
         default_rng = np.random.default_rng
         dealt = {True: [], False: []}
 
@@ -323,10 +325,10 @@ class TestSpearmanUniformThreads:
         monkeypatch.setattr(np.random, "default_rng", recording)
         two = _spearman_uniform_seeded([(*_sides(p), np.random.SeedSequence(5).spawn(reps))], _workers=2)
         monkeypatch.undo()
-        main = [(i, side) for i in range(0, reps, 2) for side in (0, 1)]
-        helper = [(i, side) for i in range(1, reps, 2) for side in (0, 1)]
+        main = [(i, side) for i in range(0, reps, 2) for side in (1, 0)]
+        helper = [(i, side) for i in range(1, reps, 2) for side in (1, 0)]
         if reps % 2:
-            main.pop()
+            main.remove((reps - 1, 1))
             helper.append((reps - 1, 1))
         assert dealt == {True: main, False: helper}
         assert [sum(side == 0 for _, side in dealt[t]) for t in (True, False)] == batches
@@ -374,7 +376,7 @@ class TestSpearmanUniformThreads:
         # seed's two sides and stops at its next seed (one more seed is
         # allowed for a slow recording). The call runs on its own thread, so
         # that a lost exception fails the join instead of hanging.
-        rank = measures._packed_ranks
+        rank = measures._packed_order
         began, failed = threading.Event(), threading.Event()
         other_ranks = []
         raised = []
@@ -397,7 +399,7 @@ class TestSpearmanUniformThreads:
             except BaseException as got:
                 raised.append(got)
 
-        monkeypatch.setattr(measures, "_packed_ranks", failing)
+        monkeypatch.setattr(measures, "_packed_order", failing)
         sides = _sides(tied_series(1000))
         threads = threading.active_count()
         caller = threading.Thread(target=call, daemon=True)
@@ -434,7 +436,7 @@ class TestSpearmanUniformThreads:
                 hit = wrappers.get(id(value))
                 if hit is not None and hit[0] is value:
                     monkeypatch.setattr(mod, name, hit[1])
-        rank = measures._packed_ranks
+        rank = measures._packed_order
         helper_ranks = []
 
         def spy(*args):
@@ -442,7 +444,7 @@ class TestSpearmanUniformThreads:
                 helper_ranks.append(1)
             return rank(*args)
 
-        monkeypatch.setattr(measures, "_packed_ranks", spy)
+        monkeypatch.setattr(measures, "_packed_order", spy)
         monkeypatch.setattr(
             measures, "_spearman_uniform_seeded", functools.partial(measures._spearman_uniform_seeded, _workers=2)
         )
@@ -488,7 +490,7 @@ class TestSpearmanUniformThreads:
     def test_one_seed_ranks_its_sides_on_two_threads(self, monkeypatch):
         # a single tie-break, as the public spearman_uniform takes, ranks its
         # source side on the calling thread and its target side on the helper
-        rank = measures._packed_ranks
+        rank = measures._packed_order
         ranked = []
 
         def spy(codes, *args):
@@ -498,7 +500,7 @@ class TestSpearmanUniformThreads:
         rng = np.random.default_rng(8)
         g = dc.DirectedGraph(3000, rng.integers(0, 3000, 2**14), rng.integers(0, 3000, 2**14))
         monkeypatch.setattr(measures, "_core_count", lambda: 2)
-        monkeypatch.setattr(measures, "_packed_ranks", spy)
+        monkeypatch.setattr(measures, "_packed_order", spy)
         got = dc.spearman_uniform(g, dc.DependencyType.OUT_IN, 4)
         assert sorted(ranked) == [(False, 2**14), (True, 2**14)]
         assert got == lexsort_rho(dc.edge_degree_pairs(g, dc.DependencyType.OUT_IN), np.random.SeedSequence(4))
@@ -521,6 +523,27 @@ class TestSpearmanUniformThreads:
         dc.randomization_study(g, 2, 0)
         # one per ECM draw, each of which keeps at least 2^14 edges
         assert len(threads) == 1 + 2
+
+    def test_report_temporaries_per_edge(self, monkeypatch):
+        # beyond the graph: two workers' draws, keys and target ranks (20
+        # B/edge each), the shared desc (4) and four int16 sides (8), about
+        # 52 B/edge. A source-side rank buffer per worker would add 8 and a
+        # degree table held through the tie-breaks 16 B per node (12 here).
+        spec = dc.PowerLawSpec(2.5, 1)
+        rng = np.random.default_rng(7)
+        out, inn = (dc.sample_integer_power_law(spec, rng, 100_000) for _ in range(2))
+        short = inn if out.sum() > inn.sum() else out
+        short[: abs(int(out.sum()) - int(inn.sum()))] += 1
+        g, _ = dc.erased_configuration_model(np.column_stack([out, inn]), rng)
+        assert g.edge_count >= 2**17
+        monkeypatch.setattr(measures, "_core_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            compute_report(g, "g", seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * g.edge_count
 
     @pytest.mark.parametrize("cpus, cores", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
     def test_core_count(self, monkeypatch, cpus, cores):

@@ -6,13 +6,13 @@ compute graph at paper scale, for two checkouts in alternated child processes.
 PARENT and CHANGE are the roots of two checkouts of this repository. The
 input is built once, by perfbench's compute builder (perfbench/workloads.py,
 imported read-only, with ECM_NODES set to --nodes: 10^6 nodes give 1,342,948
-edges, 10^7 give 13,417,012) running on this checkout's degcorr, and written
-to DIR/input.txt. Each of the K pairs then runs the command once per
-checkout, PARENT first in even pairs and CHANGE first in odd ones, and
-prints the run's wall time, peak RSS and the sha256 of its output. The input
-and output digests are compared with the ones pinned for 10^6 and 10^7
-nodes. The last line is a JSON summary; the exit status is 1 if a run
-failed or a digest differs from its pin.
+edges, 10^7 give 13,417,012 and 2.5*10^7 give 33,536,241) running on this
+checkout's degcorr, and written to DIR/input.txt. Each of the K pairs then
+runs the command once per checkout, PARENT first in even pairs and CHANGE
+first in odd ones, and prints the run's wall time, peak RSS and the sha256
+of its output. The input and output digests are compared with the ones
+pinned for 10^6, 10^7 and 2.5*10^7 nodes. The last line is a JSON summary;
+the exit status is 1 if a run failed or a digest differs from its pin.
 """
 from __future__ import annotations
 
@@ -39,6 +39,8 @@ PINNED = {
             "f06fc0a9c9b473a0ecc7c430deffe99efad608dc4dc2839aa40c9ec36b3ec7d5"),
     10**7: ("29b72593a41642db79fe556810d77332fd379aad7238d7786d53088a08511421",
             "85c7f8d6e6682222cecd8bc2a33cff61cce5718625815f026178225e4eb5b509"),
+    25_000_000: ("35ffbd36426f509bb1016ae3db435471f074bfbb92d91d3cd02cc524e2722060",
+                 "6a61a0c35d331a76a16dc4faeea4396668a3a5810bcaeccd57f4a3eac9bcd893"),
 }
 CHILD = "import sys; from degcorr.cli import main; sys.exit(main(sys.argv[1:]))"
 
