@@ -14,7 +14,7 @@ import numpy as np
 from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import _exact_sum, exact_power_sum
-from .generators import PowerLawSpec, _as_rng, _floor_cut, _pareto_transform
+from .generators import PowerLawSpec, _floor_cut, _pareto_transform
 from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _sorted_edge_keys, degrees
 
 
@@ -73,7 +73,7 @@ def erased_configuration_model(
         raise UnbalancedStubsError(f"sum(out)={stubs} != sum(in)={in_stubs}")
     if stubs > MAX_EDGES:
         raise ValueError(f"{stubs} stubs exceed the budget of {MAX_EDGES}")
-    rng = _as_rng(seed_or_rng)
+    rng = np.random.default_rng(seed_or_rng)
     n = pairs.shape[0]
     src = np.repeat(np.arange(n, dtype=np.int64), out)
     tgt = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), inn))

@@ -108,7 +108,7 @@ def sample_integer_power_law(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _pareto_transform(spec, _as_rng(seed_or_rng).random(count)).astype(np.int64)
+    return _pareto_transform(spec, np.random.default_rng(seed_or_rng).random(count)).astype(np.int64)
 
 
 def _pareto_transform(spec: PowerLawSpec, buf: np.ndarray) -> np.ndarray:
@@ -173,9 +173,3 @@ def random_bridge_collection(
     # them against the budget before they become int64
     ys = ys.astype(np.float64)
     return _bridge_union(xs + ys, np.floor(xs + a * ys))
-
-
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)

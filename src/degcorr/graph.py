@@ -58,12 +58,7 @@ class DependencyType(Enum):
             raise ValueError(f"unknown dependency type {name!r}") from None
 
 
-ALL_TYPES = (
-    DependencyType.OUT_IN,
-    DependencyType.OUT_OUT,
-    DependencyType.IN_IN,
-    DependencyType.IN_OUT,
-)
+ALL_TYPES = tuple(DependencyType)
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

@@ -18,17 +18,20 @@ Every policy preserves the total rank sum n*(n+1)/2.
 
 A permutation policy orders the series by (value, tiebreak) ascending, the
 order of ``np.lexsort((tiebreak, values))``: by_index and by_reverse_index
-with one stable sort of the dense codes, uniform_random with one in-place
-sort of a uint64 key per value: from the high bits down, its dense code, the
-top db bits of its draw (a random() draw is exactly k / 2**53, so they carry
-no rounding) and its index, from which the order is read. Neighbours whose
-keys differ only in the index form runs, and one lexsort of every run's
-members by (run, draw, index) puts them in the lexsort's order even for
-equal draws. A degree series leaves db >= 21, and such runs are rare.
+with one sort, a stable one of int16 codes or one of code * m + index for
+wider codes, uniform_random with one in-place sort of a uint64 key per
+value: from the high bits down, its dense code, the top db bits of its draw
+(a random() draw is exactly k / 2**53, so they carry no rounding) and its
+index, from which the order is read. Neighbours whose keys differ only in
+the index form runs, and one lexsort of every run's members by (run, draw,
+index) puts them in the lexsort's order even for equal draws. A degree
+series leaves db >= 21, and such runs are rare.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .graph import _sorted_edge_keys
 
 TiePolicy = str
 
@@ -174,9 +177,12 @@ def permutation_ranks(
     codes = _codes_and_counts(values[::step])[0]
     if policy == "uniform_random":
         order = _packed_order(codes, rng, _rank_buffers(values.size))
-    else:
+    elif codes.dtype == np.int16:
         # a radix sort on the int16 codes of every degree series
         order = np.argsort(codes, kind="stable")
+    else:
+        # a stable sort of wider codes is a timsort; codes < m, so code * m + index cannot wrap
+        order = _sorted_edge_keys(values.size, codes, np.arange(values.size)) % values.size
     ranks = np.empty(values.size, np.int64)
     ranks[order] = np.arange(values.size, 0, -1)
     return ranks[::step]

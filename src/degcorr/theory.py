@@ -26,11 +26,13 @@ from .measures import _check_repetitions, pearson
 # order: fan-in class, fan-out class, bridge edge(s).
 
 
-def _bridge_classes(n: int, a: int, disconnected: bool = False) -> list[tuple[int, int, int]]:
+def _bridge_classes(n: int, a: int, variant: str = "connected") -> list[tuple[int, int, int]]:
+    if variant not in ("connected", "disconnected"):
+        raise ValueError(f"variant must be 'connected' or 'disconnected', got {variant!r}")
     if n < 1 or a < 1:
         raise ValueError("n and a must be >= 1")
     m = a * n
-    if disconnected:
+    if variant == "disconnected":
         return [(0, 1, n), (1, 0, m), (n, 1, 1), (1, m, 1)]
     return [(0, 1, n), (1, 0, m), (n, m, 1)]
 
@@ -60,7 +62,7 @@ def closed_form_pearson_bridge(n: int, a: int) -> float:
 
 def closed_form_pearson_bridge_disconnected(n: int, a: int) -> float:
     """Pearson In/Out of the disconnected variant; tends to 0 as n grows."""
-    return _pearson_from_classes(_bridge_classes(n, a, disconnected=True))
+    return _pearson_from_classes(_bridge_classes(n, a, "disconnected"))
 
 
 def _pearson_from_classes(classes) -> float:
@@ -79,27 +81,28 @@ def _pearson_from_classes(classes) -> float:
 def closed_form_spearman_bridge(n: int, a: int, variant: str = "connected") -> float:
     """Average-tie Spearman In/Out closed form for G(n, a*n) or its
     disconnected variant. Both tend to -1 as n grows."""
-    if variant not in ("connected", "disconnected"):
-        raise ValueError("variant must be 'connected' or 'disconnected'")
-    classes = _bridge_classes(n, a, disconnected=(variant == "disconnected"))
-    e = sum(c for _, _, c in classes)
-    rx = _doubled_average_ranks(classes, 0)
-    ry = _doubled_average_ranks(classes, 1)
-    num = sum(c * rx[x] * ry[y] for x, y, c in classes) - e * (e + 1) ** 2
-    sx2, sy2 = sigma_products_bridge(n, a, variant)
-    return num / math.sqrt(sx2 * sy2)
+    suv, sx2, sy2 = _average_rank_sums(n, a, variant)
+    return suv / math.sqrt(sx2 * sy2)
 
 
 def sigma_products_bridge(n: int, a: int, variant: str = "connected") -> tuple[int, int]:
     """Exact squared average-rank deviations (sigma_x^2, sigma_y^2) of the family."""
-    classes = _bridge_classes(n, a, disconnected=(variant == "disconnected"))
+    return _average_rank_sums(n, a, variant)[1:]
+
+
+def _average_rank_sums(n: int, a: int, variant: str) -> tuple[int, int, int]:
+    """Centred sums (uv, u^2, v^2) over the In/Out series of the doubled
+    average ranks u, v: each is the plain sum minus e(e+1)^2, since both
+    sides have the doubled mean rank e + 1."""
+    classes = _bridge_classes(n, a, variant)
     e = sum(c for _, _, c in classes)
     rx = _doubled_average_ranks(classes, 0)
     ry = _doubled_average_ranks(classes, 1)
     shift = e * (e + 1) ** 2
+    suv = sum(c * rx[x] * ry[y] for x, y, c in classes) - shift
     sx2 = sum(c * rx[x] ** 2 for x, _, c in classes) - shift
     sy2 = sum(c * ry[y] ** 2 for _, y, c in classes) - shift
-    return sx2, sy2
+    return suv, sx2, sy2
 
 
 def closed_form_spearman_ranked(n: int, a: int, ordering: str = "by_index") -> float:
@@ -131,32 +134,19 @@ def _class_rank_lines(classes, coord: int, reverse: bool) -> list[tuple[int, int
     """Per class, the descending rank of its t-th member as (offset, slope).
 
     Members are indexed t = 1..count in edge order. Ranks come from a stable
-    ascending sort by (value, index) with ties optionally reversed; classes
-    are contiguous index blocks, so each class occupies an arithmetic range.
+    ascending sort by (value, index), with ties in reversed index order if
+    asked; classes are contiguous index blocks, so one sort of the classes
+    by (value, +-class index) lays them out. A class of c members that
+    starts after `before` members ascends as before + t, or before + c + 1 - t
+    reversed, and its descending rank is e + 1 minus that.
     """
     e = sum(c for _, _, c in classes)
-    # ascending start offset per class: count of strictly smaller values,
-    # plus same-value classes that come first in the chosen tie order
-    lines: list[tuple[int, int]] = []
-    for i, cls in enumerate(classes):
-        v = cls[coord]
-        before = 0
-        for j, other in enumerate(classes):
-            if other[coord] < v:
-                before += other[2]
-            elif other[coord] == v and j != i:
-                earlier = j < i
-                if reverse:
-                    earlier = not earlier
-                if earlier:
-                    before += other[2]
-        # ascending position of member t: before + t (or reversed in t)
-        if not reverse:
-            asc0, dasc = before, 1
-        else:
-            asc0, dasc = before + cls[2] + 1, -1
-        # descending rank = e + 1 - asc
-        lines.append((e + 1 - asc0, -dasc))
+    lines: list[tuple[int, int]] = [(0, 0)] * len(classes)
+    before = 0
+    for i in sorted(range(len(classes)), key=lambda i: (classes[i][coord], -i if reverse else i)):
+        c = classes[i][2]
+        lines[i] = (e - before - c, 1) if reverse else (e + 1 - before, -1)
+        before += c
     return lines
 
 
@@ -166,7 +156,7 @@ def tau_counts_bridge(n: int, a: int, variant: str = "connected") -> tuple[int, 
     For n >= 2 the connected family gives ((a+1)n, a n^2); the disconnected
     one has a single extra discordant pair from its two half-bridge edges.
     """
-    classes = _bridge_classes(n, a, disconnected=(variant == "disconnected"))
+    classes = _bridge_classes(n, a, variant)
     nc = nd = 0
     for i in range(len(classes)):
         xi, yi, ci = classes[i]
@@ -192,8 +182,8 @@ def tau_limit_bridge(a: float) -> float:
     """Large-n Kendall tau of G(n, a*n): -2a/(a+1)^2. Tends to 0 as a grows
     because the tie count grows with a while tau's denominator counts all
     pairs."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
     return -2.0 * a / (a + 1.0) ** 2
 
 
@@ -206,8 +196,8 @@ def spearman_uniform_mean_limit(a: float) -> float:
     E ~ (a+1) n and rho_average -> -1; Monte Carlo confirms the factor 3.
     Also tends to 0 as a grows, 1.5x the tau limit along the way.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
     return -3.0 * a / (a + 1.0) ** 2
 
 
@@ -292,42 +282,32 @@ def support_function_f(x: float, a: float) -> float:
     function of the component mixture ratio; 1 at both boundaries, minimum
     at x = 1/a.
     """
-    if x <= 0 or a <= 0:
-        raise ValueError("x and a must be positive")
+    if not (0 < x < math.inf and 0 < a < math.inf):
+        raise ValueError(f"x and a must be positive and finite, got x={x}, a={a}")
     return (1.0 + a * x) / (math.sqrt(1.0 + x) * math.sqrt(1.0 + a * a * x))
 
 
 def argmin_support_function(a: float) -> float:
     """Location of the minimum of f(., a): exactly 1/a."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
     return 1.0 / a
 
 
-def solve_support_minimum(eps: float, tol: float = 1e-10) -> float:
-    """Find a > 1 with min_x f(x, a) = eps, by bisection.
+def solve_support_minimum(eps: float) -> float:
+    """The a >= 1 with min_x f(x, a) = eps, in closed form.
 
     The minimum value f(1/a, a) = 2 sqrt(a) / (a + 1) decreases from 1 to 0
-    on a in [1, inf), so any eps in (0, 1] has a unique solution with a >= 1.
+    on a in [1, inf), so any eps in (0, 1] has a unique solution with a >= 1:
+    a = s^2 for the root s = (1 + sqrt(1 - eps^2)) / eps >= 1 of
+    eps s^2 - 2 s + eps = 0, that is a = (2 - eps^2 + 2 sqrt(1 - eps^2)) / eps^2.
+    Squaring s avoids dividing by an eps^2 that underflows to 0; an a too
+    large for a float comes back as inf.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
-
-    def fmin(a: float) -> float:
-        return 2.0 * math.sqrt(a) / (a + 1.0)
-
-    lo, hi = 1.0, 4.0
-    while fmin(hi) > eps:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fmin(mid) > eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    s = (1.0 + math.sqrt(1.0 - eps * eps)) / eps
+    return s * s
 
 
 # ---------------------------------------------------------------------------

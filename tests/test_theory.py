@@ -123,15 +123,13 @@ class TestClosedFormsAgainstMeasures:
         assert theory.closed_form_spearman_bridge(10**4, 3) == pytest.approx(-1, abs=1e-3)
 
     def test_ranked_sweep(self):
-        for n in (1, 2, 3, 8):
-            for a in (1, 2, 4):
+        # both sides divide the same exact integers, so the bits agree
+        for n in range(1, 31):
+            for a in range(1, 7):
                 g = dc.bridge_graph(dc.BridgeParams(n, a * n))
-                assert theory.closed_form_spearman_ranked(n, a, "by_index") == pytest.approx(
-                    dc.spearman_ranked(g, IN_OUT, "by_index", "by_index"), abs=1e-12
-                )
-                assert theory.closed_form_spearman_ranked(n, a, "by_reverse_index") == pytest.approx(
-                    dc.spearman_ranked(g, IN_OUT, "by_index", "by_reverse_index"), abs=1e-12
-                )
+                for order in ("by_index", "by_reverse_index"):
+                    got = theory.closed_form_spearman_ranked(n, a, order)
+                    assert got == dc.spearman_ranked(g, IN_OUT, "by_index", order), (n, a, order)
 
     def test_ranked_by_index_limit_sign_flip(self):
         # limit (a^3 - 3a^2 - 3a + 1)/(a+1)^3 crosses zero between a=3 and a=4
@@ -148,6 +146,13 @@ class TestClosedFormsAgainstMeasures:
                 assert theory.closed_form_tau_bridge(n, a) == pytest.approx(
                     dc.kendall_tau(g, IN_OUT), abs=1e-15
                 )
+
+    @pytest.mark.parametrize(
+        "fn", [theory.closed_form_spearman_bridge, theory.sigma_products_bridge, theory.tau_counts_bridge]
+    )
+    def test_unknown_variant_refused(self, fn):
+        with pytest.raises(ValueError, match="'bogus'"):
+            fn(3, 1, "bogus")
 
     def test_tau_closed_counts_for_generic_n(self):
         assert theory.tau_counts_bridge(2, 1) == (4, 4)
@@ -175,6 +180,8 @@ class TestPrintedPolynomials:
                 num = -(a * a + a) * n**3 + (a * a + 1) * n * n + (a + 1) * n - 2
                 sm = (a * a + a) * n**3 + (a * a + 4 * a + 2) * n * n + (3 * a + 4) * n + 2
                 sp = (a * a + a) * n**3 + (2 * a * a + 4 * a + 1) * n * n + (4 * a + 3) * n + 2
+                # source groups n, a n + 1 and 1; target groups n + 1, a n and 1
+                assert theory.sigma_products_bridge(n, a, "disconnected") == (sm, sp)
                 assert theory.closed_form_spearman_bridge(n, a, "disconnected") == pytest.approx(
                     num / math.sqrt(sm * sp), abs=1e-12
                 )
@@ -193,16 +200,14 @@ class TestPrintedPolynomials:
                     num19 / den, abs=1e-12
                 )
 
-    def test_sigma_product_polynomial_on_source_side(self):
+    def test_sigma_product_polynomial_on_both_sides(self):
         # (a^2+a)n^3 + (a+1)^2 n^2 + (a+1)n is the exact squared deviation of
-        # the source-side ranks; the target side matches it only at a = 1
+        # the doubled average ranks; it depends only on the tie-group sizes,
+        # n, a n and 1 on both sides
         for n in range(2, 20):
             for a in range(1, 5):
-                sx2, sy2 = theory.sigma_products_bridge(n, a)
                 want = (a * a + a) * n**3 + (a + 1) ** 2 * n * n + (a + 1) * n
-                assert sx2 == want
-                if a == 1:
-                    assert sy2 == want
+                assert theory.sigma_products_bridge(n, a) == (want, want)
 
     def test_tau_polynomial_counts(self):
         for n in range(2, 30):
@@ -237,11 +242,21 @@ class TestLimits:
             )
             assert exact == pytest.approx(theory.spearman_uniform_mean_limit(a), abs=2e-3)
 
-    def test_invalid_a(self):
-        with pytest.raises(ValueError):
-            theory.tau_limit_bridge(0)
-        with pytest.raises(ValueError):
-            theory.spearman_uniform_mean_limit(0)
+    @pytest.mark.parametrize("a", [0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            theory.tau_limit_bridge,
+            theory.spearman_uniform_mean_limit,
+            theory.argmin_support_function,
+            lambda a: theory.support_function_f(1.0, a),
+            lambda x: theory.support_function_f(x, 1.0),
+        ],
+        ids=["tau_limit", "spearman_mean_limit", "argmin", "f_of_a", "f_of_x"],
+    )
+    def test_invalid_a(self, fn, a):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(a)
 
 
 class TestSupportFunction:
