@@ -1,28 +1,26 @@
 """Mutation check: each catalogued mutant of the package must fail its tests.
 
-    python tools/mutants.py [--only TEXT ...]
+    python tools/mutants.py
 
 An entry of CATALOGUE names a file, a snippet that must occur in it exactly
 once, its replacement, the pytest node ids or files that should kill the
 mutant, and why the mutant matters. src/, tests/ and pyproject.toml are
 copied once into a temporary directory. The union of all selections first
 runs there unmutated and must pass. Then each mutant is written into the
-copy, its selection runs with `pytest -x`, and the file is restored. A mutant is killed when a selected test fails (pytest exit 1) or
-the run takes longer than TIMEOUT_S, and survives when every selected test
-passes.
+copy, its selection runs with `pytest -x`, and the file is restored. A
+mutant is killed when a selected test fails (pytest exit 1) or the run takes
+longer than TIMEOUT_S, and survives when every selected test passes.
 
 EQUIVALENT lists mutants that no test can kill, because the program's
 outputs stay the same, each with its reason; they are not run, but their
 snippets are checked like the others. One line per mutant, then a JSON
 summary. The exit status is 1 if a mutant survived, if pytest ended in any
 other way (a collection error, no tests), if the unmutated run failed, or if
-a snippet no longer occurs exactly once. `--only` runs the entries whose name
-contains any of the given texts. The script needs only the standard library
-and pytest; a full run takes a few minutes on two cores.
+a snippet no longer occurs exactly once. The script needs only the standard
+library and pytest; a full run takes a few minutes on two cores.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -356,15 +354,11 @@ def _first_failure(output: str) -> str:
     return next((line for line in output.splitlines() if line.startswith(("FAILED", "ERROR"))), "")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", default=[], metavar="TEXT", help="run the entries whose name contains TEXT")
-    only = parser.parse_args(argv).only
-
+def main() -> int:
     stale = [m.name for m in (*CATALOGUE, *EQUIVALENT) if (ROOT / m.path).read_text().count(m.snippet) != 1]
     for name in stale:
         print(f"stale      {name}: its snippet does not occur exactly once")
-    chosen = [m for m in CATALOGUE if m.name not in stale and (not only or any(t in m.name for t in only))]
+    chosen = [m for m in CATALOGUE if m.name not in stale]
     summary = {"mutants": len(chosen), "killed": [], "survived": [], "error": [], "stale": stale}
     summary["equivalent"] = {m.name: m.reason for m in EQUIVALENT}
     start = time.perf_counter()
