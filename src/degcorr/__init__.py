@@ -50,7 +50,6 @@ from .measures import (
     concordance_counts,
     kendall_tau,
     pearson,
-    pearson_from_pairs,
     spearman_average,
     spearman_ranked,
     spearman_uniform,
@@ -93,7 +92,6 @@ __all__ = [
     "kernel_backend",
     "load_edge_list",
     "pearson",
-    "pearson_from_pairs",
     "permutation_ranks",
     "random_bridge_collection",
     "randomization_study",

@@ -115,8 +115,10 @@ def _pareto_transform(spec: PowerLawSpec, buf: np.ndarray) -> np.ndarray:
     """Map the uniforms in a float64 buf, in place and each on its own, to the
     draws of sample_integer_power_law as integral floats, and return buf."""
     np.subtract(1.0, buf, out=buf)
-    np.power(buf, -1.0 / spec.gamma, out=buf)
-    np.multiply(buf, spec.x_min, out=buf)
+    # a small gamma overflows to inf here, which the clamp below cuts to 2^62
+    with np.errstate(over="ignore"):
+        np.power(buf, -1.0 / spec.gamma, out=buf)
+        np.multiply(buf, spec.x_min, out=buf)
     # values beyond int64 have probability ~ 2^-62 per draw for gamma >= 1
     np.minimum(buf, 2.0**62, out=buf)
     return np.floor(buf, out=buf)

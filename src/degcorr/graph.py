@@ -6,6 +6,7 @@ downstream formula; only the configuration model enforces simplicity.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -208,7 +209,8 @@ def load_edge_list(source: Source) -> LoadResult:
     are ignored; edge lines are ASCII. External ids (decimal integers from 0
     to 2**63-1, no '+' or '_') are remapped to dense internal ids in
     first-appearance order. The edge multiset is preserved in file order;
-    empty input yields a zero-edge graph.
+    empty input yields a zero-edge graph. Files of digits, spaces, tabs and
+    line ends go through np.loadtxt, any other one line at a time.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -223,47 +225,34 @@ def load_edge_list(source: Source) -> LoadResult:
     return loaded if loaded is not None else _parse_lines(data)
 
 
-# Longest id the fast path reads: every 18-digit number is below 2**63, and
-# np.fromstring clamps larger ones to 2**63-1 without a word.
-_FAST_MAX_DIGITS = 18
-
-
 def _parse_fast(data: bytes) -> LoadResult | None:
-    """_parse_lines(data) in a few numpy passes, or None if it cannot prove
-    that data is well-formed.
+    """_parse_lines(data) through numpy's C reader, or None if it cannot
+    prove that data is well-formed.
 
     It proves it when every byte is a digit, space, tab, CR or LF, every
-    line holds zero or two ids and no id has more than 18 digits. Anything
-    else, '#' comments included, is left to _parse_lines, which keeps every
-    error message and line number. Its temporaries hold a bool per input
-    byte, or an int64 per id or per line break.
+    line holds zero or two ids and every id is at most 2**63-1: np.loadtxt
+    raises on uneven lines and on larger ids. Anything else, '#' comments
+    included, is left to _parse_lines, which keeps every error message and
+    line number. Behind the reader, the remap's temporaries hold an int64 or
+    a bool per id.
     """
     if data.translate(None, b"0123456789 \t\r\n"):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    digit = np.zeros(buf.size + 2, dtype=bool)
-    np.greater_equal(buf, ord("0"), out=digit[1:-1])
-    # even entries start a maximal run of digits (an id), odd entries end one
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    del digit
-    ids_count = bounds.size // 2
-    if ids_count == 0:
+    if not data or data.isspace():
+        # np.loadtxt would warn that the input contained no data
         empty = np.empty(0, dtype=np.int64)
         return LoadResult(DirectedGraph(0, empty, empty), empty)
-    id_starts = bounds[0::2]
-    if int(np.max(bounds[1::2] - id_starts)) > _FAST_MAX_DIGITS:
+    try:
+        # the reader takes no bare CR, so every CR becomes an LF (a CRLF, an LF
+        # and a blank line it skips); comments=None keeps '#' text in a line
+        ids = np.loadtxt(io.BytesIO(data.replace(b"\r", b"\n")), dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
         return None
-    line_break = buf == ord("\n")
-    line_break |= buf == ord("\r")
-    # ids that start before each CR or LF; every line holds 0 or 2 of them
-    per_line = np.diff(
-        np.searchsorted(id_starts, np.flatnonzero(line_break)), prepend=0, append=ids_count
-    )
-    if not ((per_line == 0) | (per_line == 2)).all():
+    # a file whose lines all hold one id, or all three, reads as that many columns
+    if ids.shape[1] != 2:
         return None
-    del bounds, id_starts, line_break, per_line
-
-    ids = np.fromstring(data, dtype=np.int64, count=ids_count, sep=" ")
+    ids = ids.reshape(-1)
+    ids_count = ids.size
     # first-appearance remap: sort by (value, position), mark where the value
     # changes, and take the first position of each run
     if int(ids.max()) < 2**63 // ids_count:

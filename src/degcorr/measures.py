@@ -22,8 +22,9 @@ report rows in one pass:
 All numerators and variance terms are accumulated in exact integer
 arithmetic; division happens once at the end, so results are deterministic
 and reproduce closed forms to float precision. The public functions take
-the same integer sums, so they give a row's bits; kendall_tau and the
-rank-based ones also code their sides with _side, as a row does.
+the same integer sums, so they give a row's bits; pearson and kendall_tau
+read a row's joint table, and they and the tie-breaking ones code their
+sides with _side, as a row does.
 """
 from __future__ import annotations
 
@@ -128,23 +129,16 @@ def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
 
 
 def pearson(g: DirectedGraph, t: DependencyType) -> float:
-    """Pearson correlation of the per-edge degree pairs of type t.
+    """Pearson correlation of the per-edge degree pairs of type t, from the
+    exact sums a report row reads off the joint table.
 
     Raises ZeroVarianceError when either side of the series is constant
-    (e.g. any directed cycle).
+    (e.g. any directed cycle). On a degree series m·Σx² − (Σx)² =
+    variance_gap, the tests' oracle.
     """
-    return pearson_from_pairs(edge_degree_pairs(g, t))
-
-
-def pearson_from_pairs(p: PairSeries) -> float:
-    """Pearson correlation of a pair series, from exact integer sums.
-
-    On a degree series Σx = Σ_v D+·D^α and m·Σx² − (Σx)² = variance_gap, so
-    the division sees the operands of the vertex form, the tests' oracle.
-    """
-    m = _pair_count(len(p), 1, "pearson")
-    sums = [exact_power_sum(v, k) for k in (1, 2) for v in (p.x, p.y)]
-    return _pearson(m, *sums, exact_dot(p.x, p.y))
+    sx, sy = _type_sides(g, t)
+    m = _pair_count(sx[0].size, 1, "pearson")
+    return _pearson(m, *_table_sums(_joint_table(sx, sy), sx, sy, sx[2], sy[2]))
 
 
 def _pearson(m: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float:

@@ -293,6 +293,13 @@ class TestStudy:
         assert rows[0]["n"] == "100"
         assert set(rows[0]) == {"n", "p", "q", "sum", "predicted_exponent", "fitted_slope"}
 
+    def test_scaling_with_tiny_gamma_prints_no_warning(self, capsys):
+        # most draws overflow to inf before the clamp at 2^62; numpy's
+        # overflow warning must not reach stderr
+        code, _, err = run_cli(capsys, "study", "scaling", "--n-grid", "10,100,1000", "--reps", "1", "--gamma", "0.01")
+        assert code == 0
+        assert err == ""
+
     def test_bridge_distribution(self, capsys):
         code, out, _ = run_cli(
             capsys, "study", "bridge-distribution", "--n", "50", "--a", "10",

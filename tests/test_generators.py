@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ class TestPowerLawSampler:
         got = dc.sample_integer_power_law(PowerLawSpec(gamma, x_min), 9, 10_000)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+    def test_tiny_gamma_clamps_without_a_warning(self):
+        # (1 - u)^(-1/gamma) overflows to inf, which the clamp cuts to 2^62
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = dc.sample_integer_power_law(PowerLawSpec(0.01), 0, 10_000)
+        assert int(draws.max()) == 2**62
 
     def test_infinite_gamma_draws_xmin(self):
         draws = dc.sample_integer_power_law(PowerLawSpec(math.inf, 3), 5, 1000)

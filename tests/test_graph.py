@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,29 +160,52 @@ def test_fast_path_matches_line_loop(lines, final_break):
         text = text[: -len(lines[-1][1])]
     data = text.encode()
     assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
-    # the fast path takes every such file whose ids have at most 18 digits
-    if all(len(token) <= 18 for token in data.split()):
-        assert _parse_fast(data) is not None
+    # the fast path takes every such file
+    assert _parse_fast(data) is not None
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        b"0 1\n9223372036854775808 2\n",  # np.fromstring would clamp it to 2**63-1
+        b"0 1\n9223372036854775808 2\n",  # one past 2**63-1
         b"0 1\n1 2 3\n",
         b"0 1 2\n3\n",  # an even number of ids, but not two per line
+        b"0 1 2\n3 4 5\n",  # three even columns
         b"0\n1\n",
         b"0 1\n2",
         b"0 1\n-1 2\n",
         b"+1 2\n",
         b"1_0 2\n",
-        b"0 1\n0000000000000000012 3\n",  # 19 digits, value 12
         b"# c\n0 1\n",
     ],
 )
 def test_fast_path_leaves_what_it_cannot_prove_to_the_loop(data):
     assert _parse_fast(data) is None
     assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"0 1\n0000000000000000012 3\n",  # 19 digits, value 12
+        b"0000000000000000000000007 1\r\n",
+        b"9223372036854775807 0\n",
+    ],
+)
+def test_fast_path_reads_long_ids(data):
+    fast = _parse_fast(data)
+    assert fast is not None
+    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+
+
+@pytest.mark.parametrize("data", [b"", b"\n", b" \t\r\n\r"])
+def test_blank_input_loads_without_a_warning(data):
+    # np.loadtxt warns on input without data, and the CLI prints every warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lr = dc.load_edge_list(data)
+    assert lr.graph.node_count == 0 and lr.graph.edge_count == 0
+    assert lr.external_ids.size == 0
 
 
 @pytest.mark.parametrize("edges", [4, 5, 40])

@@ -819,11 +819,12 @@ class TestCellValue:
         assert series == []
 
     def test_public_functions_code_two_sides(self, monkeypatch):
-        # kendall_tau and the rank-based public functions code their sides
-        # as a row does: one degree table and two _side calls per call
+        # pearson, kendall_tau and the rank-based public functions code their
+        # sides as a row does: one degree table and two _side calls per call
         tables, sides, series = spy_sides(monkeypatch)
         g = dc.bridge_graph(dc.BridgeParams(3, 4))
         calls = (
+            lambda t: dc.pearson(g, t),
             lambda t: dc.kendall_tau(g, t),
             lambda t: dc.spearman_uniform(g, t, 3),
             lambda t: dc.spearman_uniform_mean(g, t, 3, 3),

@@ -232,6 +232,13 @@ CATALOGUE = (
         "below 2^14 edges a second thread only slows a side down",
     ),
     Mutant(
+        "measures-pearson-reads-ranks", MEASURES,
+        "_table_sums(_joint_table(sx, sy), sx, sy, sx[2], sy[2])",
+        "_table_sums(_joint_table(sx, sy), sx, sy, _doubled_ranks(sx[1]), _doubled_ranks(sy[1]))",
+        ("tests/test_measures.py::TestPearson",),
+        "pearson weighs each code by its degree, spearman_average by its rank",
+    ),
+    Mutant(
         "measures-kendall-column-shift", MEASURES,
         "nc = int((table[:, 1:] * before[:, :-1]).sum())", "nc = int((table[:, 1:] * before[:, 1:]).sum())",
         ("tests/test_measures.py::TestKendall",),
@@ -267,16 +274,22 @@ CATALOGUE = (
     ),
     # graph
     Mutant(
-        "graph-fast-path-19-digits", GRAPH,
-        "_FAST_MAX_DIGITS = 18", "_FAST_MAX_DIGITS = 19",
+        "graph-fast-path-three-columns", GRAPH,
+        "if ids.shape[1] != 2:", "if ids.shape[1] < 2:",
         (T_GRAPH,),
-        "np.fromstring clamps a 19-digit id past 2^63 - 1 without a word",
+        "a file whose lines all hold three ids reads as three even columns",
     ),
     Mutant(
-        "graph-fast-path-three-ids", GRAPH,
-        "if not ((per_line == 0) | (per_line == 2)).all():", "if not ((per_line == 0) | (per_line >= 2)).all():",
+        "graph-fast-path-bare-cr-kept", GRAPH,
+        'io.BytesIO(data.replace(b"\\r", b"\\n"))', "io.BytesIO(data)",
         (T_GRAPH,),
-        "a line of three ids is an error the line loop reports",
+        "np.loadtxt refuses a bare CR, so a file of CR line ends would go to the line loop",
+    ),
+    Mutant(
+        "graph-fast-path-blank-input-read", GRAPH,
+        "if not data or data.isspace():", "if not data:",
+        (T_GRAPH,),
+        "np.loadtxt warns on input without data, and the CLI prints every warning",
     ),
     Mutant(
         "graph-duplicates-ignore-targets", GRAPH,
@@ -292,6 +305,15 @@ CATALOGUE = (
         "reports list the types in their wire order",
     ),
     # generators and the configuration model
+    Mutant(
+        "generators-overflow-warns", "src/degcorr/generators.py",
+        '    with np.errstate(over="ignore"):\n'
+        "        np.power(buf, -1.0 / spec.gamma, out=buf)\n"
+        "        np.multiply(buf, spec.x_min, out=buf)\n",
+        "    np.power(buf, -1.0 / spec.gamma, out=buf)\n    np.multiply(buf, spec.x_min, out=buf)\n",
+        ("tests/test_generators.py::TestPowerLawSampler", "tests/test_cli.py::TestStudy"),
+        "a tiny gamma overflows before the clamp, and the CLI prints every warning",
+    ),
     Mutant(
         "generators-floor-cut-margin-sign", "src/degcorr/generators.py",
         "np.log1p(1 / spec.x_min) + np.log1p(-1e-9)", "np.log1p(1 / spec.x_min) + np.log1p(1e-9)",
@@ -328,6 +350,12 @@ EQUIVALENT = (
         "buffers: tuple, *, draw_bits: int = 53)", "buffers: tuple, *, draw_bits: int = 52)", (),
         "the run fix-up orders keys that share a draw prefix by the full draw, so a shorter prefix "
         "only makes more runs; ranks stay those of the lexsort",
+    ),
+    Mutant(
+        "graph-fast-path-comments-stripped", GRAPH,
+        "ndmin=2, comments=None)", "ndmin=2)",
+        (),
+        "no '#' passes the byte check in front of the reader, so it has no comment to strip",
     ),
     Mutant(
         "measures-cross-sum-transposed", MEASURES,
