@@ -6,11 +6,12 @@ downstream formula; only the configuration model enforces simplicity.
 """
 from __future__ import annotations
 
-import io
+import itertools
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -243,10 +244,15 @@ def _parse_fast(data: bytes) -> LoadResult | None:
         empty = np.empty(0, dtype=np.int64)
         return LoadResult(DirectedGraph(0, empty, empty), empty)
     try:
-        # the reader takes no bare CR, so every CR becomes an LF (a CRLF, an LF
-        # and a blank line it skips); comments=None keeps '#' text in a line
-        ids = np.loadtxt(io.BytesIO(data.replace(b"\r", b"\n")), dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
+        # numpy 1.23 to at least 1.26 read an id past 2**63-1 through a float,
+        # cast it and only warn; as an error, that read defers like any other
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            # str.splitlines breaks at LF, CRLF and CR, the only line breaks
+            # that pass the byte check; the reader skips blank lines
+            lines = itertools.chain.from_iterable(map(str.splitlines, _ascii_pieces(data)))
+            ids = np.loadtxt(lines, dtype=np.int64, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
     # a file whose lines all hold one id, or all three, reads as that many columns
     if ids.shape[1] != 2:
@@ -284,6 +290,19 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     dense = np.empty(ids_count, dtype=np.int64)
     dense[order] = dense_of_value[value]
     return LoadResult(DirectedGraph(external.size, dense[0::2], dense[1::2]), external)
+
+
+def _ascii_pieces(data: bytes) -> Iterator[str]:
+    """data as str, in pieces of about 64 KiB that end at an LF: np.loadtxt
+    reads anything but a path one line at a time, and its decode of each
+    bytes line costs more than the line's parse."""
+    start = 0
+    while start < len(data):
+        # past the last LF (from the start in a file of bare CRs), the piece
+        # is the rest of data
+        end = data.find(b"\n", start + 65536) + 1 or len(data)
+        yield data[start:end].decode("ascii")
+        start = end
 
 
 def _split_lines(text: str) -> list[str]:

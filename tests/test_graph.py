@@ -198,6 +198,30 @@ def test_fast_path_reads_long_ids(data):
     assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
 
 
+@pytest.mark.parametrize("ends", [[b"\n"], [b"\r"], [b"\n", b"\r\n", b"\r", b"\n\n"]])
+def test_fast_path_reads_a_file_of_many_pieces(ends):
+    # the reader gets the file in pieces of about 64 KiB that end at an LF
+    lines = [b"%d\t%d" % (i, i * 7919 % 5000) for i in range(30_000)]
+    data = b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    fast = _parse_fast(data)
+    assert fast is not None
+    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+
+
+def test_fast_path_defers_an_id_read_through_a_float(monkeypatch):
+    # numpy 1.23 to at least 1.26 read an id past 2**63-1 through a float,
+    # cast it to a garbage int64 and only warn; the fast path must leave that
+    # file to the line loop, here on a reader that behaves so
+    def loadtxt_via_float(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([[0, 1], [-(2**63), 2]], dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_via_float)
+    data = b"0 1\n9223372036854775808 2\n"
+    assert _parse_fast(data) is None
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
+
+
 @pytest.mark.parametrize("data", [b"", b"\n", b" \t\r\n\r"])
 def test_blank_input_loads_without_a_warning(data):
     # np.loadtxt warns on input without data, and the CLI prints every warning

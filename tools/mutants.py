@@ -281,9 +281,21 @@ CATALOGUE = (
     ),
     Mutant(
         "graph-fast-path-bare-cr-kept", GRAPH,
-        'io.BytesIO(data.replace(b"\\r", b"\\n"))', "io.BytesIO(data)",
+        "map(str.splitlines, _ascii_pieces(data))", 'map(lambda piece: piece.split("\\n"), _ascii_pieces(data))',
         (T_GRAPH,),
-        "np.loadtxt refuses a bare CR, so a file of CR line ends would go to the line loop",
+        "np.loadtxt refuses a bare CR inside a line, so a file of CR line ends would go to the line loop",
+    ),
+    Mutant(
+        "graph-fast-path-pieces-cut-mid-line", GRAPH,
+        'end = data.find(b"\\n", start + 65536) + 1 or len(data)', "end = min(start + 65536, len(data))",
+        (T_GRAPH,),
+        "a piece that ends inside a line splits an id, or leaves a line one id",
+    ),
+    Mutant(
+        "graph-fast-path-float-read-kept", GRAPH,
+        'warnings.simplefilter("error", DeprecationWarning)', 'warnings.simplefilter("default", DeprecationWarning)',
+        (T_GRAPH,),
+        "numpy 1.23 to at least 1.26 read an id past 2^63 - 1 through a float and cast it, with only a warning",
     ),
     Mutant(
         "graph-fast-path-blank-input-read", GRAPH,
@@ -350,12 +362,6 @@ EQUIVALENT = (
         "buffers: tuple, *, draw_bits: int = 53)", "buffers: tuple, *, draw_bits: int = 52)", (),
         "the run fix-up orders keys that share a draw prefix by the full draw, so a shorter prefix "
         "only makes more runs; ranks stay those of the lexsort",
-    ),
-    Mutant(
-        "graph-fast-path-comments-stripped", GRAPH,
-        "ndmin=2, comments=None)", "ndmin=2)",
-        (),
-        "no '#' passes the byte check in front of the reader, so it has no comment to strip",
     ),
     Mutant(
         "measures-cross-sum-transposed", MEASURES,
