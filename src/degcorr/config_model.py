@@ -15,7 +15,7 @@ from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import _exact_sum, exact_power_sum
 from .generators import PowerLawSpec, _floor_cut, _pareto_transform
-from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _sorted_edge_keys, degrees
+from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _as_int64, _sorted_edge_keys, degrees
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def erased_configuration_model(
     equal column sums. Node degrees in the output never exceed the
     prescription; they fall short exactly by the erased edges.
     """
-    pairs = np.asarray(degree_pairs, dtype=np.int64)
+    pairs = _as_int64(degree_pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("degree_pairs must have shape (n, 2)")
     out, inn = pairs[:, 0], pairs[:, 1]
@@ -157,7 +157,7 @@ def balance_iid_sequence(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = _as_int64(pairs)
     if exact_power_sum(pairs[:, 0], 1) == exact_power_sum(pairs[:, 1], 1):
         return pairs, 0
     n = pairs.shape[0]

@@ -30,6 +30,9 @@ class PowerLawSpec:
     """Pareto tail: P(X > t) ~ (x_min / t)**gamma. Moments of order >= gamma diverge.
 
     gamma = inf is allowed: every draw then equals x_min. NaN is rejected.
+    x_min is a Python or numpy integer of at least 1; a float, even 2.0, is
+    refused: balancing counts each draw below the floor cut as exactly x_min,
+    and draws are integers.
     """
 
     gamma: float
@@ -38,8 +41,8 @@ class PowerLawSpec:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.x_min < 1:
-            raise ValueError("x_min must be a positive integer")
+        if not isinstance(self.x_min, (int, np.integer)) or self.x_min < 1:
+            raise ValueError(f"x_min must be a positive integer, got {self.x_min!r}")
 
 
 def bridge_graph(p: BridgeParams) -> DirectedGraph:

@@ -63,8 +63,18 @@ class DependencyType(Enum):
 ALL_TYPES = tuple(DependencyType)
 
 
+def _as_int64(values) -> np.ndarray:
+    """values as a C-contiguous int64 array. Any dtype but a signed or
+    unsigned integer is refused rather than truncated, unless values is empty
+    (np.asarray([]) is float64)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"expected integers, got an array of {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    arr = _as_int64(arr)
     arr.setflags(write=False)
     return arr
 
@@ -72,8 +82,10 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
 def _sorted_edge_keys(n: int, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """int64 keys src * n + tgt, sorted: (src, tgt) order, equal edges adjacent.
 
-    Needs every id below n and n * n < 2**63. Built and sorted in place, not
-    by np.unique: numpy 2.4's np.unique hashes 1-d input, ~60x slower at 1.3M.
+    Needs 0 <= tgt < n, src >= 0 and every src * n + tgt < 2**63; src may
+    reach past n (the loader packs raw ids with their positions). Built and
+    sorted in place, not by np.unique: numpy 2.4's np.unique hashes 1-d
+    input, ~60x slower at 1.3M.
     """
     key = src * n
     key += tgt
@@ -234,8 +246,8 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     line holds zero or two ids and every id is at most 2**63-1: np.loadtxt
     raises on uneven lines and on larger ids. Anything else, '#' comments
     included, is left to _parse_lines, which keeps every error message and
-    line number. Behind the reader, the remap's temporaries hold an int64 or
-    a bool per id.
+    line number. Behind the reader, the remap writes the dense ids back over
+    the sorted ids; its other temporaries hold an int64 or a bool per id.
     """
     if data.translate(None, b"0123456789 \t\r\n"):
         return None
@@ -258,38 +270,31 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     if ids.shape[1] != 2:
         return None
     ids = ids.reshape(-1)
-    ids_count = ids.size
+    count = ids.size
     # first-appearance remap: sort by (value, position), mark where the value
     # changes, and take the first position of each run
-    if int(ids.max()) < 2**63 // ids_count:
-        # one packed key id * ids_count + position, built and sorted in place
-        ids *= ids_count
-        ids += np.arange(ids_count)
-        ids.sort()
-        order = ids % ids_count
-        ids //= ids_count
+    if int(ids.max()) < 2**63 // count:
+        ids, order = np.divmod(_sorted_edge_keys(count, ids, np.arange(count)), count)
     else:
         # packed keys would wrap; a stable argsort keeps equal ids in order
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
-    new_value = np.empty(ids_count, dtype=bool)
-    new_value[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=new_value[1:])
-    runs = np.flatnonzero(new_value)
+    mark = np.empty(count, dtype=bool)
+    mark[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=mark[1:])
+    runs = np.flatnonzero(mark)
     first = order[runs]
     # a value's dense id counts the values that appear before it
-    is_first = np.zeros(ids_count, dtype=bool)
-    is_first[first] = True
-    dense_of_value = np.cumsum(is_first)[first]
+    mark[:] = False
+    mark[first] = True
+    dense_of_value = np.cumsum(mark)[first]
     dense_of_value -= 1
+    del mark, first
     external = np.empty(runs.size, dtype=np.int64)
     external[dense_of_value] = ids[runs]
-    del ids, runs, first, is_first
-    value = np.cumsum(new_value)
-    value -= 1
-    dense = np.empty(ids_count, dtype=np.int64)
-    dense[order] = dense_of_value[value]
-    return LoadResult(DirectedGraph(external.size, dense[0::2], dense[1::2]), external)
+    # every member of a run takes its value's dense id, back at its position
+    ids[order] = np.repeat(dense_of_value, np.diff(runs, append=count))
+    return LoadResult(DirectedGraph(external.size, ids[0::2], ids[1::2]), external)
 
 
 def _ascii_pieces(data: bytes) -> Iterator[str]:

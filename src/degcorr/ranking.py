@@ -161,13 +161,20 @@ def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: in
     keys[members] = index[np.lexsort((index, draws[index], run))]
 
 
+def _one_dimensional(values) -> np.ndarray:
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"can only rank a 1-d sequence, got {values.ndim} dimensions")
+    return values
+
+
 def permutation_ranks(
     values: np.ndarray,
     policy: TiePolicy,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Int64 ranks 1..n (a permutation), ties resolved per policy."""
-    values = np.asarray(values)
+    """Int64 ranks 1..n (a permutation) of a 1-d series, ties resolved per policy."""
+    values = _one_dimensional(values)
     if policy not in ("by_index", "by_reverse_index", "uniform_random"):
         raise ValueError(f"unknown permutation tie policy {policy!r}")
     if policy == "uniform_random" and rng is None:
@@ -189,13 +196,13 @@ def permutation_ranks(
 
 
 def rank_with_ties(values, policy: TiePolicy, seed: int | None = None) -> np.ndarray:
-    """Rank a sequence with the given tie policy (descending convention).
+    """Rank a 1-d sequence with the given tie policy (descending convention).
 
     ``uniform_random`` requires a seed and is reproducible for equal seeds.
     Average ranks come back as float64 halves; the other policies return an
     integer permutation of 1..n (as float64 for a uniform return type).
     """
-    values = np.asarray(values)
+    values = _one_dimensional(values)
     if values.size == 0:
         raise ValueError("cannot rank an empty sequence")
     if policy == "average":

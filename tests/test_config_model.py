@@ -39,6 +39,11 @@ class TestErasedConfigurationModel:
         with pytest.raises(ValueError, match="budget"):
             erased_configuration_model(np.array([[2**40, 2**40]]), 0)
 
+    def test_float_degrees_refused(self):
+        # truncated, these would draw a graph from the degrees [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="expected integers"):
+            erased_configuration_model([[1.9, 0.5], [0.5, 1.9]], 1)
+
     def test_kept_edges_are_the_sorted_non_loop_stub_pairs(self):
         rng = np.random.default_rng(8)
         collapsed = 0
@@ -124,6 +129,11 @@ class TestErasedConfigurationModel:
 
 
 class TestBalanceIidSequence:
+    def test_float_pairs_refused(self):
+        spec = PowerLawSpec(2.0, 1)
+        with pytest.raises(ValueError, match="expected integers"):
+            dc.balance_iid_sequence(np.array([[2.5, 1.0], [1.0, 2.5]]), spec, spec, 0)
+
     def test_already_balanced_untouched(self):
         pairs = np.array([[2, 1], [1, 2]])
         spec = PowerLawSpec(2.0, 1)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +165,16 @@ class TestPowerLawSampler:
                 PowerLawSpec(gamma, 1)
         with pytest.raises(ValueError):
             PowerLawSpec(2.0, 0)
+
+    @pytest.mark.parametrize("x_min", [1.5, 2.0, np.float64(3.0)])
+    def test_non_integer_x_min_rejected(self, x_min):
+        # balancing counts each draw below the floor cut as exactly x_min
+        with pytest.raises(ValueError, match=re.escape(f"x_min must be a positive integer, got {x_min!r}")):
+            PowerLawSpec(2.5, x_min)
+
+    def test_numpy_integer_x_min_accepted(self):
+        draws = dc.sample_integer_power_law(PowerLawSpec(2.5, np.int64(2)), 3, 1000)
+        assert draws.min() == 2
 
 
 class TestIidDegreeSequence:

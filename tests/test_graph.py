@@ -190,6 +190,10 @@ def test_fast_path_leaves_what_it_cannot_prove_to_the_loop(data):
         b"0 1\n0000000000000000012 3\n",  # 19 digits, value 12
         b"0000000000000000000000007 1\r\n",
         b"9223372036854775807 0\n",
+        # 2**61 = 2**63 // 4 among 4 ids: packed with its position, it would
+        # wrap, so the remap must sort the ids instead
+        b"2305843009213693952 0\n1 2\n",
+        b"0 1\n2 2305843009213693952\n",
     ],
 )
 def test_fast_path_reads_long_ids(data):
@@ -431,6 +435,29 @@ def test_graph_rejects_out_of_range_endpoints():
         dc.DirectedGraph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         dc.DirectedGraph.from_edges(2, [(-1, 0)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: dc.DirectedGraph(3, [0.9, 1.5], [2.7, 0.2]),  # would truncate to (0, 2), (1, 0)
+        lambda: dc.DirectedGraph(2, np.array([0, 1]), np.array([True, False])),
+        lambda: dc.DegreeTable(np.array([1.5, 2.0]), np.array([1, 2])),
+        lambda: dc.PairSeries(np.array([1]), np.array(["1"])),
+    ],
+    ids=["graph-floats", "graph-bools", "degree-table-floats", "pair-series-strings"],
+)
+def test_non_integer_arrays_refused(build):
+    with pytest.raises(ValueError, match="expected integers"):
+        build()
+
+
+def test_empty_sequences_still_build():
+    # np.asarray([]) is float64, yet holds no value to truncate
+    g = dc.DirectedGraph(0, [], [])
+    assert g.edge_count == 0 and g.src.dtype == np.int64
+    assert dc.DegreeTable([], []).out_degree.dtype == np.int64
+    assert len(dc.PairSeries([], [])) == 0
 
 
 def test_graph_arrays_immutable():

@@ -68,6 +68,16 @@ def test_empty_rejected():
         rank_with_ties([], "average")
 
 
+@pytest.mark.parametrize("policy", ["average", "by_index", "by_reverse_index", "uniform_random"])
+@pytest.mark.parametrize("values", [np.array([[1, 2], [3, 4]]), np.array(5)], ids=["2-d", "0-d"])
+def test_only_one_dimensional_series_ranked(policy, values):
+    with pytest.raises(ValueError, match="1-d sequence"):
+        rank_with_ties(values, policy, seed=0)
+    if policy != "average":
+        with pytest.raises(ValueError, match="1-d sequence"):
+            permutation_ranks(values, policy, np.random.default_rng(0))
+
+
 def test_descending_convention():
     assert rank_with_ties([5, 1], "average").tolist() == [1.0, 2.0]
 

@@ -156,6 +156,12 @@ CATALOGUE = (
         "by_index needs ties in index order",
     ),
     Mutant(
+        "ranking-2d-series-ranked", RANKING,
+        "if values.ndim != 1:", "if values.ndim == 0:",
+        (T_RANKING,),
+        "average ranks of a 2-d array come back 2-d; the permutation policies fail in broadcasting",
+    ),
+    Mutant(
         "ranking-doubled-ranks-off-by-two", RANKING,
         "np.cumsum(counts)) + counts + 1)", "np.cumsum(counts)) + counts + 3)",
         ("tests/test_ranking.py", "tests/test_measures.py::TestSpearmanAverage"),
@@ -304,6 +310,48 @@ CATALOGUE = (
         "np.loadtxt warns on input without data, and the CLI prints every warning",
     ),
     Mutant(
+        "graph-remap-packed-key-bound-inclusive", GRAPH,
+        "if int(ids.max()) < 2**63 // count:", "if int(ids.max()) <= 2**63 // count:",
+        (T_GRAPH,),
+        "an id of 2**63 // count packs a key past 2**63 - 1, which wraps",
+    ),
+    Mutant(
+        "graph-remap-unstable-argsort", GRAPH,
+        'order = np.argsort(ids, kind="stable")', "order = np.argsort(ids)",
+        (T_GRAPH,),
+        "ids too large to pack need equal ids kept in file order to find first positions",
+    ),
+    Mutant(
+        "graph-remap-mark-not-reset", GRAPH,
+        "    mark[:] = False\n", "",
+        (T_GRAPH,),
+        "run starts left in the mark count as first positions",
+    ),
+    Mutant(
+        "graph-remap-dense-id-from-one", GRAPH,
+        "    dense_of_value -= 1\n", "",
+        (T_GRAPH,),
+        "a cumsum counts the first positions up to and including a value's own",
+    ),
+    Mutant(
+        "graph-remap-run-lengths-shifted", GRAPH,
+        "np.diff(runs, append=count)", "np.diff(runs, prepend=0)",
+        (T_GRAPH,),
+        "run i runs from runs[i] to the next run start, the last one to the end",
+    ),
+    Mutant(
+        "graph-float-arrays-truncated", GRAPH,
+        'arr.dtype.kind not in "iu"', 'arr.dtype.kind not in "iuf"',
+        (T_GRAPH,),
+        "a float endpoint or degree cast to int64 silently drops its fraction",
+    ),
+    Mutant(
+        "graph-empty-sequence-refused", GRAPH,
+        'if arr.size and arr.dtype.kind not in "iu":', 'if arr.dtype.kind not in "iu":',
+        (T_GRAPH,),
+        "np.asarray([]) is float64, yet an empty sequence holds no value to truncate",
+    ),
+    Mutant(
         "graph-duplicates-ignore-targets", GRAPH,
         "key = _sorted_edge_keys(self.node_count, self.src, self.tgt)",
         "key = _sorted_edge_keys(self.node_count, self.src, 0 * self.tgt)",
@@ -331,6 +379,18 @@ CATALOGUE = (
         "np.log1p(1 / spec.x_min) + np.log1p(-1e-9)", "np.log1p(1 / spec.x_min) + np.log1p(1e-9)",
         ("tests/test_config_model.py::TestFloorRowSums",),
         "the cut must stay below the uniform that maps to x_min + 1",
+    ),
+    Mutant(
+        "generators-float-x-min-accepted", "src/degcorr/generators.py",
+        "if not isinstance(self.x_min, (int, np.integer)) or self.x_min < 1:", "if self.x_min < 1:",
+        ("tests/test_generators.py::TestPowerLawSampler",),
+        "balancing counts each draw below the floor cut as x_min, which only an integer is",
+    ),
+    Mutant(
+        "config-ecm-float-degrees-truncated", CONFIG,
+        "pairs = _as_int64(degree_pairs)", "pairs = np.asarray(degree_pairs, dtype=np.int64)",
+        ("tests/test_config_model.py::TestErasedConfigurationModel",),
+        "truncated degrees draw a graph from a prescription nobody gave",
     ),
     Mutant(
         "config-ecm-keeps-self-loops", CONFIG,
