@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graph import _as_int64
 from .ranking import _codes_and_counts
 
 BACKEND = "python"
@@ -22,7 +23,7 @@ def count_strict_inversions(values) -> int:
     the larger keys of its own left block with two searchsorted calls, and
     one sort of the keys merges every pair of blocks. Keys stay below n^2.
     """
-    r = _codes_and_counts(np.asarray(values, dtype=np.int64))[0]
+    r = _codes_and_counts(_as_int64(values))[0]
     n = r.size
     pos = np.arange(n)
     total = 0

@@ -28,7 +28,6 @@ from .generators import (
     random_bridge_collection,
 )
 from .graph import DependencyType, load_edge_list, write_edge_list
-from .measures import pearson
 from .report import _fmt
 
 EXIT_OK = 0
@@ -193,23 +192,21 @@ def cmd_study(args) -> int:
         out.write("family,n,measure,value,closed_form_value\n")
         for n in sizes:
             params = BridgeParams(n, a * n)
-            g = bridge_graph(params)
-            gd = disconnected_bridge_graph(params)
-            t = DependencyType.IN_OUT
-            rows = [
-                ("bridge", "pearson", pearson(g, t), theory.closed_form_pearson_bridge(n, a)),
-                ("bridge", "spearman_average", measures.spearman_average(g, t), theory.closed_form_spearman_bridge(n, a)),
-                ("bridge", "kendall", measures.kendall_tau(g, t), theory.closed_form_tau_bridge(n, a)),
-                ("bridge_disconnected", "pearson", pearson(gd, t), theory.closed_form_pearson_bridge_disconnected(n, a)),
-                (
-                    "bridge_disconnected",
-                    "spearman_average",
-                    measures.spearman_average(gd, t),
-                    theory.closed_form_spearman_bridge(n, a, "disconnected"),
-                ),
+            families = [
+                ("bridge", bridge_graph(params), {
+                    "pearson": theory.closed_form_pearson_bridge(n, a),
+                    "spearman_average": theory.closed_form_spearman_bridge(n, a),
+                    "kendall": theory.closed_form_tau_bridge(n, a),
+                }),
+                ("bridge_disconnected", disconnected_bridge_graph(params), {
+                    "pearson": theory.closed_form_pearson_bridge_disconnected(n, a),
+                    "spearman_average": theory.closed_form_spearman_bridge(n, a, "disconnected"),
+                }),
             ]
-            for fam, mname, val, cf in rows:
-                out.write(f"{fam},{n},{mname},{_fmt(val)},{_fmt(cf)}\n")
+            for fam, g, closed in families:
+                [row] = measures.row_values(g, [DependencyType.IN_OUT], tuple(closed), [], 1)
+                for (mname, cf), (val, _) in zip(closed.items(), row):
+                    out.write(f"{fam},{n},{mname},{_fmt(val)},{_fmt(cf)}\n")
     else:  # bridge-distribution
         values = theory.bridge_distribution_study(
             args.n, args.a, PowerLawSpec(args.gamma, args.xmin), args.reals, args.seed

@@ -66,10 +66,13 @@ ALL_TYPES = tuple(DependencyType)
 def _as_int64(values) -> np.ndarray:
     """values as a C-contiguous int64 array. Any dtype but a signed or
     unsigned integer is refused rather than truncated, unless values is empty
-    (np.asarray([]) is float64)."""
+    (np.asarray([]) is float64), and so is an unsigned value past 2^63 - 1
+    rather than wrapped."""
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"expected integers, got an array of {arr.dtype}")
+    if arr.size and arr.dtype.kind == "u" and arr.max() > 2**63 - 1:
+        raise ValueError(f"integer {arr.max()} does not fit in int64")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 

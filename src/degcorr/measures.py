@@ -21,10 +21,11 @@ report rows in one pass:
 
 All numerators and variance terms are accumulated in exact integer
 arithmetic; division happens once at the end, so results are deterministic
-and reproduce closed forms to float precision. The public functions take
-the same integer sums, so they give a row's bits; pearson and kendall_tau
-read a row's joint table, and they and the tie-breaking ones code their
-sides with _side, as a row does.
+and reproduce closed forms to float precision. _coded_sides codes a graph's
+sides and _value computes a row's value of each measure, for every report
+cell and for pearson and kendall_tau; the tie-breaking public functions code
+their sides with _coded_sides too. spearman_average alone keeps its own
+route over m-sized arrays, an independent reference.
 """
 from __future__ import annotations
 
@@ -109,10 +110,36 @@ def _side(g: DirectedGraph, d: DegreeTable, end: str, kind: str) -> Side:
     return _codes_and_counts(d.kind(kind)[g.src if end == "out" else g.tgt])
 
 
-def _type_sides(g: DirectedGraph, t: DependencyType) -> tuple[Side, Side]:
-    """The (source, target) sides of type t, from one DegreeTable of g."""
+def _coded_sides(g: DirectedGraph, types: Sequence[DependencyType]) -> list[tuple[Side, Side]]:
+    """Each type's (source, target) sides off one DegreeTable of g, each (end,
+    kind) coded once; the table is gone before any tie-break buffer exists."""
     d = degrees(g)
-    return _side(g, d, "out", t.source_kind), _side(g, d, "in", t.target_kind)
+    keys = [(("out", t.source_kind), ("in", t.target_kind)) for t in types]
+    coded = {key: _side(g, d, *key) for key in dict.fromkeys(key for pair in keys for key in pair)}
+    return [(coded[x], coded[y]) for x, y in keys]
+
+
+def _value(name: str, sx: Side, sy: Side, table: np.ndarray | None, rhos: Sequence[float] = ()) -> float:
+    """The named measure of a row, spearman_uniform being the mean of its
+    tie-break instances rhos; raises what the measure's public function does."""
+    m = _pair_count(sx[0].size, 1 if name == "pearson" else 2, name.partition("_")[0])
+    if name == "spearman_uniform":
+        return float(np.mean(rhos))
+    if name == "kendall":
+        nc, nd = _table_concordance(table)
+        return 2 * (nc - nd) / (m * (m - 1))
+    xv, yv = (sx[2], sy[2]) if name == "pearson" else (_doubled_ranks(sx[1]), _doubled_ranks(sy[1]))
+    # exact sums of x, y, x^2 and y^2, each side's counts weighing its values, and
+    # of xy: table @ yv is at most m * max(yv) < 2^63, as yv <= 2m <= 2 * graph.MAX_EDGES
+    s1x, s1y, sxx, syy = [_exact_sum([(s[1], 1), (v, k)]) for k in (1, 2) for s, v in ((sx, xv), (sy, yv))]
+    sxy = _exact_sum([(xv, 1), (table @ yv, 1)])
+    if name == "spearman_average":
+        return _average_rho(m, sxx, syy, sxy)
+    vx = m * sxx - s1x * s1x
+    vy = m * syy - s1y * s1y
+    if vx == 0 or vy == 0:
+        raise ZeroVarianceError("constant coordinate in pair series")
+    return (m * sxy - s1x * s1y) / math.sqrt(vx * vy)
 
 
 def variance_gap(d: DegreeTable, weight_kind: str, value_kind: str) -> int:
@@ -136,18 +163,8 @@ def pearson(g: DirectedGraph, t: DependencyType) -> float:
     (e.g. any directed cycle). On a degree series m·Σx² − (Σx)² =
     variance_gap, the tests' oracle.
     """
-    sx, sy = _type_sides(g, t)
-    m = _pair_count(sx[0].size, 1, "pearson")
-    return _pearson(m, *_table_sums(_joint_table(sx, sy), sx, sy, sx[2], sy[2]))
-
-
-def _pearson(m: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float:
-    """Pearson correlation from m and the exact sums of x, y, x^2, y^2, xy."""
-    vx = m * sxx - sx * sx
-    vy = m * syy - sy * sy
-    if vx == 0 or vy == 0:
-        raise ZeroVarianceError("constant coordinate in pair series")
-    return (m * sxy - sx * sy) / math.sqrt(vx * vy)
+    [(sx, sy)] = _coded_sides(g, [t])
+    return _value("pearson", sx, sy, _joint_table(sx, sy))
 
 
 def _rho_from_permutation_ranks(rx: np.ndarray, ry: np.ndarray, prod: np.ndarray) -> float:
@@ -167,7 +184,7 @@ def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
     the source side, child 1 on the target side. That assignment is part of
     the reproducibility contract.
     """
-    return _spearman_uniform_seeded([(*_type_sides(g, t), [np.random.SeedSequence(seed)])])[0]
+    return _spearman_uniform_seeded([(*_coded_sides(g, [t])[0], [np.random.SeedSequence(seed)])])[0]
 
 
 def _spearman_uniform_seeded(
@@ -226,7 +243,7 @@ def spearman_ranked(
     depend on the particular ordering of tied entries. Like spearman_uniform
     it ranks the dense codes, which order and tie as the degrees do.
     """
-    (cx, *_), (cy, *_) = _type_sides(g, t)
+    (cx, *_), (cy, *_) = _coded_sides(g, [t])[0]
     m = _pair_count(cx.size, 2, "spearman")
     rx = permutation_ranks(cx, source_policy)
     ry = permutation_ranks(cy, target_policy)
@@ -239,7 +256,7 @@ def spearman_uniform_mean(
     """Sample mean and standard error of spearman_uniform over derived seeds."""
     _check_repetitions("repetitions", repetitions, 2)
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
-    vals = np.array(_spearman_uniform_seeded([(*_type_sides(g, t), seeds)]))
+    vals = np.array(_spearman_uniform_seeded([(*_coded_sides(g, [t])[0], seeds)]))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(repetitions))
     return mean, stderr
@@ -248,8 +265,8 @@ def spearman_uniform_mean(
 def spearman_average(g: DirectedGraph, t: DependencyType) -> float:
     """Spearman's rho with average resolution of ties; deterministic.
 
-    Works on doubled ranks so every sum is an exact integer; a single float
-    division produces the result.
+    Exact integer sums over doubled ranks and one division: the library's
+    independent m-sized reference, which TestRows compares with the rows.
     """
     p = edge_degree_pairs(g, t)
     u, v = average_ranks_doubled(p.x), average_ranks_doubled(p.y)
@@ -313,14 +330,6 @@ def _table_concordance(table: np.ndarray) -> tuple[int, int]:
     return nc, nd
 
 
-def _table_sums(table: np.ndarray, sx: Side, sy: Side, xv: np.ndarray, yv: np.ndarray) -> tuple[int, ...]:
-    """Exact sums of x, y, x^2, y^2 and xy over a row's pairs, a pair's x
-    being xv at its x code and y yv at its y code. A value of table @ yv is
-    at most m * max(yv) < 2^63 for yv <= 2m and m <= graph.MAX_EDGES."""
-    sums = [_exact_sum([(s[1], 1), (v, k)]) for k in (1, 2) for s, v in ((sx, xv), (sy, yv))]
-    return (*sums, _exact_sum([(xv, 1), (table @ yv, 1)]))
-
-
 def _merge_concordance_counts(x: np.ndarray, r: np.ndarray, b: int) -> tuple[int, int]:
     """Knight's (1966) merge count; x and r are the dense codes of x and y,
     and r takes b values.
@@ -343,12 +352,8 @@ def kendall_tau(g: DirectedGraph, t: DependencyType) -> float:
     No tie correction in the denominator: with many tied degrees the value
     shrinks, which is part of what the measure reports.
     """
-    sx, sy = _type_sides(g, t)
-    return _kendall_tau(_pair_count(sx[0].size, 2, "kendall"), *_table_concordance(_joint_table(sx, sy)))
-
-
-def _kendall_tau(m: int, nc: int, nd: int) -> float:
-    return 2 * (nc - nd) / (m * (m - 1))
+    [(sx, sy)] = _coded_sides(g, [t])
+    return _value("kendall", sx, sy, _joint_table(sx, sy))
 
 
 def row_values(
@@ -369,31 +374,17 @@ def row_values(
     """
     if not set(names) <= set(MEASURES):
         raise ValueError(f"unknown measure {next(n for n in names if n not in MEASURES)!r}")
-    d = degrees(g)
-    m = g.edge_count
     children = [ss.spawn(rho_reps) for ss in seeds] if "spearman_uniform" in names else []
-    keys = [(("out", t.source_kind), ("in", t.target_kind)) for t in types]
-    coded = {key: _side(g, d, *key) for key in dict.fromkeys(key for pair in keys for key in pair)}
-    del d  # no row reads the degrees once the sides are coded; free them before the tie-break buffers
-    pairs = [(coded[x], coded[y]) for x, y in keys]
-    rhos = _spearman_uniform_seeded([(*p, c) for p, c in zip(pairs, children)]) if children and m >= 2 else []
+    pairs = _coded_sides(g, types)
+    seeded = [(*p, c) for p, c in zip(pairs, children)]
+    rhos = _spearman_uniform_seeded(seeded) if seeded and g.edge_count >= 2 else []
     rows = []
     for i, (sx, sy) in enumerate(pairs):
         table = _joint_table(sx, sy) if set(names) - {"spearman_uniform"} else None
         row = []
         for name in names:
             try:
-                _pair_count(m, 1 if name == "pearson" else 2, name)
-                if name == "spearman_uniform":
-                    value = float(np.mean(rhos[i * rho_reps : (i + 1) * rho_reps]))
-                elif name == "pearson":
-                    value = _pearson(m, *_table_sums(table, sx, sy, sx[2], sy[2]))
-                elif name == "spearman_average":
-                    sums = _table_sums(table, sx, sy, _doubled_ranks(sx[1]), _doubled_ranks(sy[1]))
-                    value = _average_rho(m, *sums[2:])
-                else:
-                    value = _kendall_tau(m, *_table_concordance(table))
-                row.append((value, None))
+                row.append((_value(name, sx, sy, table, rhos[i * rho_reps : (i + 1) * rho_reps]), None))
             except ZeroVarianceError:
                 row.append((None, "zero_variance"))
             except (EmptyGraphError, DegenerateSizeError):

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degcorr as dc
-from degcorr import EdgeListFormatError
+from degcorr import EdgeListFormatError, _kernels
 from degcorr.graph import _WRITE_CHUNK, _moment_exponents, _parse_fast, _parse_lines, vertex_moment_sum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -444,12 +444,26 @@ def test_graph_rejects_out_of_range_endpoints():
         lambda: dc.DirectedGraph(2, np.array([0, 1]), np.array([True, False])),
         lambda: dc.DegreeTable(np.array([1.5, 2.0]), np.array([1, 2])),
         lambda: dc.PairSeries(np.array([1]), np.array(["1"])),
+        lambda: _kernels.count_strict_inversions([1.5, 1.2]),  # would truncate to a tie, no inversion
     ],
-    ids=["graph-floats", "graph-bools", "degree-table-floats", "pair-series-strings"],
+    ids=["graph-floats", "graph-bools", "degree-table-floats", "pair-series-strings", "merge-count-floats"],
 )
 def test_non_integer_arrays_refused(build):
     with pytest.raises(ValueError, match="expected integers"):
         build()
+
+
+def test_unsigned_values_past_int64_refused():
+    # a uint64 of 2**63 cast to int64 wraps to -2**63: a negative degree, and
+    # concordance counts of the wrapped order
+    big = np.array([2**63, 1], np.uint64)
+    with pytest.raises(ValueError, match="9223372036854775808"):
+        dc.DegreeTable(big[:1], np.array([1], np.uint64))
+    with pytest.raises(ValueError, match="9223372036854775808"):
+        dc.concordance_counts(dc.PairSeries(big, np.array([0, 1])))
+    top = np.array([2**63 - 1, 1], np.uint64)
+    assert dc.DegreeTable(top, top).out_degree.tolist() == [2**63 - 1, 1]
+    assert dc.concordance_counts(dc.PairSeries(top, np.array([0, 1]))) == (0, 1)
 
 
 def test_empty_sequences_still_build():

@@ -26,6 +26,7 @@ from degcorr import (
     ranking,
     report,
 )
+from degcorr.cli import main
 from degcorr.measures import (
     MAX_REPETITIONS,
     MEASURES,
@@ -816,6 +817,11 @@ class TestCellValue:
         # the input graph, then one table and four sides per ECM draw
         assert len(tables) == 1 + 3 and tables[0] is g
         assert sorted(sides) == sorted(every_side * 3)
+        tables.clear()
+        sides.clear()
+        # a bridge and a disconnected bridge per n, one in_out row each
+        assert main(["study", "bridge-convergence", "--a", "2", "--n-grid", "3,10"]) == 0
+        assert len(tables) == 2 * 2 and sides == [("out", "in"), ("in", "out")] * 4
         assert series == []
 
     def test_public_functions_code_two_sides(self, monkeypatch):

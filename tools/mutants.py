@@ -227,7 +227,8 @@ CATALOGUE = (
     ),
     Mutant(
         "measures-degree-table-kept", MEASURES,
-        "    del d  # no row", "    pass  # no row",
+        "    return [(coded[x], coded[y]) for x, y in keys]",
+        "    _coded_sides.kept = d\n    return [(coded[x], coded[y]) for x, y in keys]",
         (T_THREADS + "::test_report_temporaries_per_edge",),
         "the degree table is freed before the tie-break buffers exist",
     ),
@@ -239,8 +240,8 @@ CATALOGUE = (
     ),
     Mutant(
         "measures-pearson-reads-ranks", MEASURES,
-        "_table_sums(_joint_table(sx, sy), sx, sy, sx[2], sy[2])",
-        "_table_sums(_joint_table(sx, sy), sx, sy, _doubled_ranks(sx[1]), _doubled_ranks(sy[1]))",
+        '(sx[2], sy[2]) if name == "pearson"',
+        '(_doubled_ranks(sx[1]), _doubled_ranks(sy[1])) if name == "pearson"',
         ("tests/test_measures.py::TestPearson",),
         "pearson weighs each code by its degree, spearman_average by its rank",
     ),
@@ -261,7 +262,13 @@ CATALOGUE = (
         "measures-table-sums-transposed", MEASURES,
         "for s, v in ((sx, xv), (sy, yv))]", "for s, v in ((sx, yv), (sy, xv))]",
         ("tests/test_measures.py::TestRows", "tests/test_measures.py::TestCellValue"),
-        "each side's counts weigh its own values; only report rows read the table",
+        "each side's counts weigh its own values; spearman_average's own route reads no table",
+    ),
+    Mutant(
+        "measures-one-edge-bound-for-all", MEASURES,
+        '1 if name == "pearson" else 2', "1",
+        ("tests/test_measures.py::TestCellValue",),
+        "only pearson is defined on one edge; kendall would divide by m(m - 1) = 0",
     ),
     # kernels and exact sums
     Mutant(
@@ -269,6 +276,12 @@ CATALOGUE = (
         'np.searchsorted(left, keys[right], "right")', "np.searchsorted(left, keys[right])",
         ("tests/test_kernels.py",),
         "a tie is no strict inversion",
+    ),
+    Mutant(
+        "kernels-floats-truncated", "src/degcorr/_kernels.py",
+        "_codes_and_counts(_as_int64(values))", "_codes_and_counts(np.asarray(values, dtype=np.int64))",
+        (T_GRAPH + "::test_non_integer_arrays_refused",),
+        "an int64 cast truncates 1.5 and 1.2 to a tie, and the count drops their inversion",
     ),
     Mutant(
         "exact-block-twice-too-long", "src/degcorr/_exact.py",
@@ -344,6 +357,12 @@ CATALOGUE = (
         'arr.dtype.kind not in "iu"', 'arr.dtype.kind not in "iuf"',
         (T_GRAPH,),
         "a float endpoint or degree cast to int64 silently drops its fraction",
+    ),
+    Mutant(
+        "graph-uint64-bound-off-by-one", GRAPH,
+        "arr.max() > 2**63 - 1", "arr.max() > 2**63",
+        (T_GRAPH,),
+        "a uint64 of 2^63 cast to int64 wraps to -2^63",
     ),
     Mutant(
         "graph-empty-sequence-refused", GRAPH,
