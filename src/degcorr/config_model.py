@@ -63,9 +63,7 @@ def erased_configuration_model(
     equal column sums. Node degrees in the output never exceed the
     prescription; they fall short exactly by the erased edges.
     """
-    pairs = _as_int64(degree_pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("degree_pairs must have shape (n, 2)")
+    pairs = _as_int64(degree_pairs, columns=2)
     out, inn = pairs[:, 0], pairs[:, 1]
     # exact sums: degrees clipped at 2**62 can wrap an int64 total
     stubs, in_stubs = exact_power_sum(out, 1), exact_power_sum(inn, 1)
@@ -83,10 +81,13 @@ def erased_configuration_model(
     # drop the stub arrays before the sort; n * n < 2**63 for any n in memory
     src, tgt = src[keep], tgt[keep]
     key = _sorted_edge_keys(n, src, tgt)
+    # the graph copies the endpoints it is given, so every other array goes first
+    del src, tgt, keep
     key = key[np.diff(key, prepend=-1) != 0]
-    graph = DirectedGraph(n, key // n, key % n)
-    report = RewireReport(stubs, loops, stubs - loops - key.size, graph.edge_count)
-    return graph, report
+    src, tgt = np.divmod(key, n)
+    del key
+    graph = DirectedGraph(n, src, tgt)
+    return graph, RewireReport(stubs, loops, stubs - loops - graph.edge_count, graph.edge_count)
 
 
 def _exact_row_sum(row: np.ndarray) -> int:
@@ -157,7 +158,7 @@ def balance_iid_sequence(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    pairs = _as_int64(pairs)
+    pairs = _as_int64(pairs, columns=2)
     if exact_power_sum(pairs[:, 0], 1) == exact_power_sum(pairs[:, 1], 1):
         return pairs, 0
     n = pairs.shape[0]

@@ -21,8 +21,8 @@ class BridgeParams:
     m: int
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ValueError("bridge parameters must be >= 1")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.k, self.m)):
+            raise ValueError(f"bridge parameters must be integers >= 1, got k={self.k!r}, m={self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ def _bridge_union(ks, ms) -> DirectedGraph:
     leaf = v + 2 + j
     src = np.where(fan_in, leaf, np.where(bridge, v, v + 1))
     tgt = np.where(fan_in, v, np.where(bridge, v + 1, leaf))
+    del v, j, fan_in, bridge, leaf  # before the graph copies src and tgt
     return DirectedGraph(edges + ks.size, src, tgt)
 
 
@@ -109,8 +110,8 @@ def sample_integer_power_law(
     so 1-U is in (0, 1] and X >= x_min always. The floor keeps the exact tail
     index: P(floor(X) > t) = (x_min / (t+1))**gamma for integer t >= x_min.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_EDGES:
+        raise ValueError(f"count must be from 1 to the edge budget {MAX_EDGES}, got {count}")
     return _pareto_transform(spec, np.random.default_rng(seed_or_rng).random(count)).astype(np.int64)
 
 

@@ -63,12 +63,23 @@ class DependencyType(Enum):
 ALL_TYPES = tuple(DependencyType)
 
 
-def _as_int64(values) -> np.ndarray:
-    """values as a C-contiguous int64 array. Any dtype but a signed or
-    unsigned integer is refused rather than truncated, unless values is empty
+def _shaped(values, columns: int = 0) -> np.ndarray:
+    """np.asarray(values), refused unless its shape is (n,), or (n, columns)
+    when columns is set: the one place that decides an array argument's shape."""
+    arr = np.asarray(values)
+    if arr.ndim == 0 or arr.shape[1:] != ((columns,) if columns else ()):
+        expected = f"a table of shape (n, {columns})" if columns else "a 1-d sequence of shape (n,)"
+        raise ValueError(f"expected {expected}, got shape {arr.shape}")
+    return arr
+
+
+def _as_int64(values, columns: int = 0) -> np.ndarray:
+    """values, shaped as _shaped checks, as a C-contiguous int64 array: the
+    caller's own array when it is one. Any dtype but a signed or unsigned
+    integer is refused rather than truncated, unless values is empty
     (np.asarray([]) is float64), and so is an unsigned value past 2^63 - 1
     rather than wrapped."""
-    arr = np.asarray(values)
+    arr = _shaped(values, columns)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"expected integers, got an array of {arr.dtype}")
     if arr.size and arr.dtype.kind == "u" and arr.max() > 2**63 - 1:
@@ -76,8 +87,13 @@ def _as_int64(values) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = _as_int64(arr)
+def _as_readonly(values) -> np.ndarray:
+    """_as_int64(values), read-only: copied whenever it may share memory with
+    values, so the caller's array is never frozen or written through; a
+    builder frees its temporaries before it hands its endpoints over."""
+    arr = _as_int64(values)
+    if np.may_share_memory(arr, values):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -104,10 +120,10 @@ class DirectedGraph:
     def __init__(self, node_count: int, src: np.ndarray, tgt: np.ndarray):
         src = _as_readonly(src)
         tgt = _as_readonly(tgt)
-        if src.shape != tgt.shape or src.ndim != 1:
+        if src.shape != tgt.shape:
             raise ValueError("src and tgt must be 1-d arrays of equal length")
-        if node_count < 0:
-            raise ValueError("node_count must be non-negative")
+        if not isinstance(node_count, (int, np.integer)) or node_count < 0:
+            raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         if src.size:
             lo = min(int(src.min()), int(tgt.min()))
             hi = max(int(src.max()), int(tgt.max()))
@@ -119,10 +135,8 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        pairs = list(edges)
-        src = np.fromiter((s for s, _ in pairs), dtype=np.int64, count=len(pairs))
-        tgt = np.fromiter((t for _, t in pairs), dtype=np.int64, count=len(pairs))
-        return cls(node_count, src, tgt)
+        ends = _as_int64(list(edges) or np.empty((0, 2), np.int64), columns=2)
+        return cls(node_count, ends[:, 0], ends[:, 1])
 
     @property
     def edge_count(self) -> int:

@@ -31,15 +31,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _sorted_edge_keys
+from .graph import _shaped, _sorted_edge_keys
 
 TiePolicy = str
 
 
 def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(codes, counts, distinct): each value's index among the distinct
-    values, ascending, how often each distinct value occurs, and the distinct
-    values themselves.
+    """(codes, counts, distinct) of a 1-d array: each value's index among the
+    distinct values, ascending, how often each distinct value occurs, and the
+    distinct values themselves.
 
     Codes keep the order of the values, so any rank of the codes is the same
     rank of the values. Non-negative integers no larger than the series
@@ -54,20 +54,14 @@ def _codes_and_counts(values: np.ndarray) -> tuple[np.ndarray, ...]:
     Anything else (negative values, floats, a maximum above the size) takes
     np.unique, so no input asks for more bins than it has elements.
     """
-    values = np.asarray(values)
-    if (
-        values.ndim == 1
-        and values.dtype.kind in "iu"
-        and values.min(initial=0) >= 0
-        and values.max(initial=0) <= values.size
-    ):
+    if values.dtype.kind in "iu" and values.min(initial=0) >= 0 and values.max(initial=0) <= values.size:
         hist = np.bincount(values.astype(np.intp, copy=False))
         present = hist > 0
         counts = hist[present]
         code_of = (np.cumsum(present) - 1).astype(np.int16 if counts.size <= 2**15 else np.intp)
         return code_of[values], counts, np.flatnonzero(present)
     distinct, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return inverse.reshape(values.shape), counts, distinct
+    return inverse, counts, distinct
 
 
 def _doubled_ranks(counts: np.ndarray) -> np.ndarray:
@@ -81,7 +75,7 @@ def average_ranks_doubled(values: np.ndarray) -> np.ndarray:
 
     2*rank(v) = 2 * |{u : u > v}| + |{u : u == v}| + 1.
     """
-    codes, counts, _ = _codes_and_counts(values)
+    codes, counts, _ = _codes_and_counts(_shaped(values))
     return _doubled_ranks(counts)[codes]
 
 
@@ -161,20 +155,13 @@ def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: in
     keys[members] = index[np.lexsort((index, draws[index], run))]
 
 
-def _one_dimensional(values) -> np.ndarray:
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError(f"can only rank a 1-d sequence, got {values.ndim} dimensions")
-    return values
-
-
 def permutation_ranks(
     values: np.ndarray,
     policy: TiePolicy,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Int64 ranks 1..n (a permutation) of a 1-d series, ties resolved per policy."""
-    values = _one_dimensional(values)
+    values = _shaped(values)
     if policy not in ("by_index", "by_reverse_index", "uniform_random"):
         raise ValueError(f"unknown permutation tie policy {policy!r}")
     if policy == "uniform_random" and rng is None:
@@ -202,7 +189,7 @@ def rank_with_ties(values, policy: TiePolicy, seed: int | None = None) -> np.nda
     Average ranks come back as float64 halves; the other policies return an
     integer permutation of 1..n (as float64 for a uniform return type).
     """
-    values = _one_dimensional(values)
+    values = _shaped(values)
     if values.size == 0:
         raise ValueError("cannot rank an empty sequence")
     if policy == "average":

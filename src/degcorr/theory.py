@@ -29,8 +29,8 @@ from .measures import _check_repetitions, pearson
 def _bridge_classes(n: int, a: int, variant: str = "connected") -> list[tuple[int, int, int]]:
     if variant not in ("connected", "disconnected"):
         raise ValueError(f"variant must be 'connected' or 'disconnected', got {variant!r}")
-    if n < 1 or a < 1:
-        raise ValueError("n and a must be >= 1")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, a)):
+        raise ValueError(f"n and a must be integers >= 1, got n={n!r}, a={a!r}")
     m = a * n
     if variant == "disconnected":
         return [(0, 1, n), (1, 0, m), (n, 1, 1), (1, m, 1)]

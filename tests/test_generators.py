@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import degcorr as dc
-from degcorr import BridgeParams, PowerLawSpec
+from degcorr import BridgeParams, PowerLawSpec, generators
 from degcorr.generators import _bridge_union
 from degcorr.graph import MAX_EDGES
 
@@ -76,6 +76,15 @@ class TestBridgeGraph:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             BridgeParams(0, 1)
+
+    @pytest.mark.parametrize("k, m", [(2.5, 3), (2, 3.0), (np.float64(2.0), 3), ("2", 3)])
+    def test_non_integer_sizes_refused(self, k, m):
+        # k = 2.5 used to become 2, a 6-edge bridge graph
+        with pytest.raises(ValueError, match=re.escape(f"got k={k!r}, m={m!r}")):
+            BridgeParams(k, m)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert dc.bridge_graph(BridgeParams(np.int64(2), np.uint8(3))) == dc.bridge_graph(BridgeParams(2, 3))
 
 
 class TestDisconnectedBridgeGraph:
@@ -175,6 +184,16 @@ class TestPowerLawSampler:
     def test_numpy_integer_x_min_accepted(self):
         draws = dc.sample_integer_power_law(PowerLawSpec(2.5, np.int64(2)), 3, 1000)
         assert draws.min() == 2
+
+    def test_count_over_budget_refused_before_drawing(self, monkeypatch):
+        # the float64 draws alone take 8 bytes each, and the int64 copy as much
+        monkeypatch.setattr(generators, "MAX_EDGES", 100)
+        assert dc.sample_integer_power_law(PowerLawSpec(2.5), 0, 100).size == 100
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="count must be from 1 to the edge budget 100, got 101"):
+            dc.sample_integer_power_law(PowerLawSpec(2.5), rng, 101)
+        assert rng.bit_generator.state == state
 
 
 class TestIidDegreeSequence:

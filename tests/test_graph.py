@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -451,6 +452,18 @@ def test_graph_rejects_out_of_range_endpoints():
 def test_non_integer_arrays_refused(build):
     with pytest.raises(ValueError, match="expected integers"):
         build()
+
+
+@pytest.mark.parametrize("node_count", [2.5, 2.0, np.float64(2.0), "2", None])
+def test_non_integer_node_count_refused(node_count):
+    # 2.5 used to build a 2-node graph
+    with pytest.raises(ValueError, match=re.escape(f"node_count must be a non-negative integer, got {node_count!r}")):
+        dc.DirectedGraph(node_count, [0, 1], [1, 0])
+
+
+def test_numpy_integer_node_count_accepted():
+    g = dc.DirectedGraph(np.uint8(2), [0, 1], [1, 0])
+    assert g.node_count == 2 and type(g.node_count) is int
 
 
 def test_unsigned_values_past_int64_refused():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestClosedFormsAgainstMeasures:
 
     def test_tau_limit(self):
         assert theory.closed_form_tau_bridge(10**3, 1) == pytest.approx(-0.5, abs=0.002)
+
+
+@pytest.mark.parametrize("n, a", [(2.5, 1), (2, 1.5), (2.0, 1), (np.float64(3.0), 2)])
+def test_non_integer_bridge_sizes_refused(n, a):
+    # closed_form_pearson_bridge(2.5, 1) used to return 0.4545...
+    for closed_form in (theory.closed_form_pearson_bridge, theory.closed_form_spearman_bridge):
+        with pytest.raises(ValueError, match=re.escape(f"n and a must be integers >= 1, got n={n!r}, a={a!r}")):
+            closed_form(n, a)
+
+
+def test_numpy_integer_bridge_sizes_accepted():
+    assert theory.closed_form_pearson_bridge(np.int64(3), np.uint8(2)) == theory.closed_form_pearson_bridge(3, 2)
 
 
 class TestPrintedPolynomials:

@@ -56,6 +56,7 @@ T_RANKING = "tests/test_ranking.py"
 T_GRAPH = "tests/test_graph.py"
 T_THREADS = "tests/test_measures.py::TestSpearmanUniformThreads"
 T_GOLDEN = "tests/test_golden.py"
+T_CONTRACT = "tests/test_contract.py"
 
 CATALOGUE = (
     # theory: closed forms, written down directly
@@ -156,8 +157,8 @@ CATALOGUE = (
         "by_index needs ties in index order",
     ),
     Mutant(
-        "ranking-2d-series-ranked", RANKING,
-        "if values.ndim != 1:", "if values.ndim == 0:",
+        "ranking-2d-series-ranked", GRAPH,
+        "if columns else ())", "if columns else arr.shape[1:])",
         (T_RANKING,),
         "average ranks of a 2-d array come back 2-d; the permutation policies fail in broadcasting",
     ),
@@ -371,6 +372,30 @@ CATALOGUE = (
         "np.asarray([]) is float64, yet an empty sequence holds no value to truncate",
     ),
     Mutant(
+        "graph-shape-accepts-0-d", GRAPH,
+        "if arr.ndim == 0 or arr.shape[1:]", "if arr.shape[1:]",
+        (T_CONTRACT + "::test_wrong_shapes_refused",),
+        "a 0-d array has no trailing shape to refuse; ranked, it came back as 1.0",
+    ),
+    Mutant(
+        "graph-shape-any-column-count", GRAPH,
+        "((columns,) if columns", "(arr.shape[1:] if columns",
+        (T_CONTRACT + "::test_wrong_shapes_refused",),
+        "balancing took a (3, 3) array and returned it as balanced",
+    ),
+    Mutant(
+        "graph-readonly-freezes-callers-array", GRAPH,
+        "    if np.may_share_memory(arr, values):\n        arr = arr.copy()\n", "",
+        (T_CONTRACT + "::test_constructors_copy_what_the_caller_holds",),
+        "a constructor froze the caller's own int64 array, and later writes to it changed the container",
+    ),
+    Mutant(
+        "graph-float-node-count-accepted", GRAPH,
+        "if not isinstance(node_count, (int, np.integer)) or node_count < 0:", "if node_count < 0:",
+        (T_GRAPH + "::test_non_integer_node_count_refused",),
+        "int(2.5) builds a 2-node graph",
+    ),
+    Mutant(
         "graph-duplicates-ignore-targets", GRAPH,
         "key = _sorted_edge_keys(self.node_count, self.src, self.tgt)",
         "key = _sorted_edge_keys(self.node_count, self.src, 0 * self.tgt)",
@@ -406,8 +431,20 @@ CATALOGUE = (
         "balancing counts each draw below the floor cut as x_min, which only an integer is",
     ),
     Mutant(
+        "generators-float-bridge-size-accepted", "src/degcorr/generators.py",
+        "isinstance(v, (int, np.integer)) and v >= 1 for v in (self.k, self.m)", "v >= 1 for v in (self.k, self.m)",
+        ("tests/test_generators.py::TestBridgeGraph",),
+        "a bridge size of 2.5 becomes 2 in the int64 sizes, a graph nobody asked for",
+    ),
+    Mutant(
+        "generators-sample-budget-off-by-one", "src/degcorr/generators.py",
+        "if not 1 <= count <= MAX_EDGES:", "if not 1 <= count <= MAX_EDGES + 1:",
+        ("tests/test_generators.py::TestPowerLawSampler::test_count_over_budget_refused_before_drawing",),
+        "the budget is a number of draws, inclusive",
+    ),
+    Mutant(
         "config-ecm-float-degrees-truncated", CONFIG,
-        "pairs = _as_int64(degree_pairs)", "pairs = np.asarray(degree_pairs, dtype=np.int64)",
+        "pairs = _as_int64(degree_pairs, columns=2)", "pairs = np.asarray(degree_pairs, dtype=np.int64)",
         ("tests/test_config_model.py::TestErasedConfigurationModel",),
         "truncated degrees draw a graph from a prescription nobody gave",
     ),
