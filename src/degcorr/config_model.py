@@ -225,6 +225,7 @@ def randomization_study(
         raise EmptyGraphError("cannot randomize an empty graph")
     d = degrees(g)
     pairs = np.column_stack([d.out_degree, d.in_degree])
+    del d
 
     samples: dict[tuple[str, str], list[float]] = {
         (t.wire_name, m): [] for t in ALL_TYPES for m in measures.MEASURES
@@ -237,6 +238,7 @@ def randomization_study(
             for name, (value, _) in zip(measures.MEASURES, row):
                 if value is not None:
                     samples[(t.wire_name, name)].append(value)
+        del drawn, rows  # before the next draw
 
     cells = {}
     for key, vals in samples.items():

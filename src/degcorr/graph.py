@@ -251,27 +251,28 @@ def load_edge_list(source: Source) -> LoadResult:
         data = source.read()
         if isinstance(data, str):
             data = data.encode("utf-8")
-    loaded = _parse_fast(data)
-    return loaded if loaded is not None else _parse_lines(data)
+    ids = _parse_fast(data)
+    if ids is None:
+        return _parse_lines(data)
+    del data  # the remap needs only the ids
+    return _first_appearance(ids)
 
 
-def _parse_fast(data: bytes) -> LoadResult | None:
-    """_parse_lines(data) through numpy's C reader, or None if it cannot
-    prove that data is well-formed.
+def _parse_fast(data: bytes) -> np.ndarray | None:
+    """The ids of data, an int64 array of file order, read by numpy's C
+    reader, or None if it cannot prove that data is well-formed.
 
     It proves it when every byte is a digit, space, tab, CR or LF, every
     line holds zero or two ids and every id is at most 2**63-1: np.loadtxt
     raises on uneven lines and on larger ids. Anything else, '#' comments
     included, is left to _parse_lines, which keeps every error message and
-    line number. Behind the reader, the remap writes the dense ids back over
-    the sorted ids; its other temporaries hold an int64 or a bool per id.
+    line number.
     """
     if data.translate(None, b"0123456789 \t\r\n"):
         return None
     if not data or data.isspace():
         # np.loadtxt would warn that the input contained no data
-        empty = np.empty(0, dtype=np.int64)
-        return LoadResult(DirectedGraph(0, empty, empty), empty)
+        return np.empty(0, dtype=np.int64)
     try:
         # numpy 1.23 to at least 1.26 read an id past 2**63-1 through a float,
         # cast it and only warn; as an error, that read defers like any other
@@ -284,14 +285,19 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     except (ValueError, DeprecationWarning):
         return None
     # a file whose lines all hold one id, or all three, reads as that many columns
-    if ids.shape[1] != 2:
-        return None
-    ids = ids.reshape(-1)
+    return ids.reshape(-1) if ids.shape[1] == 2 else None
+
+
+def _first_appearance(ids: np.ndarray) -> LoadResult:
+    """The LoadResult of _parse_fast's ids, remapped in place; other temporaries hold an int64, int32 or bool per id."""
     count = ids.size
-    # first-appearance remap: sort by (value, position), mark where the value
-    # changes, and take the first position of each run
+    if not count:
+        return LoadResult(DirectedGraph(0, ids, ids), ids)
+    # sort by (value, position), mark where the value changes, and take the
+    # first position of each run
     if int(ids.max()) < 2**63 // count:
-        ids, order = np.divmod(_sorted_edge_keys(count, ids, np.arange(count)), count)
+        order = _sorted_edge_keys(count, ids, np.arange(count))
+        np.divmod(order, count, out=(ids, order))
     else:
         # packed keys would wrap; a stable argsort keeps equal ids in order
         order = np.argsort(ids, kind="stable")
@@ -301,10 +307,10 @@ def _parse_fast(data: bytes) -> LoadResult | None:
     np.not_equal(ids[1:], ids[:-1], out=mark[1:])
     runs = np.flatnonzero(mark)
     first = order[runs]
-    # a value's dense id counts the values that appear before it
+    # a value's dense id counts the values that appear before it, in int32 while that fits
     mark[:] = False
     mark[first] = True
-    dense_of_value = np.cumsum(mark)[first]
+    dense_of_value = np.cumsum(mark, dtype=np.int32 if count < 2**31 else np.int64)[first]
     dense_of_value -= 1
     del mark, first
     external = np.empty(runs.size, dtype=np.int64)

@@ -11,8 +11,9 @@ report rows in one pass:
 * per graph, every row's spearman_uniform seeds, spawned in type order and
   then seed order. From 2^14 edges two workers, one per core, are dealt
   whole seeds and split an odd one out by side; a side is ordered by one
-  sort of packed (code, draw, index) keys (see ranking), and each rho goes
-  into its seed's slot, so no value depends on the number of workers;
+  sort of packed (code, draw, index) keys (see ranking), sum(rx * ry) is
+  formed in chunks, and each rho goes into its seed's slot, so no value
+  depends on the number of workers;
 * per row, one joint table C = bincount(code_x * b + code_y), b being the
   number of distinct y values. Pearson reads sum(xy) = x . (C @ y) over
   the distinct values and its other sums from their counts;
@@ -83,7 +84,9 @@ def _in_parallel(work: Callable[[int, list[BaseException]], None], workers: int)
 
 # A side of fewer edges ranks in well under a millisecond, mostly in the
 # interpreter, where a second thread only waits for the lock: at m = 256 two
-# threads took twice as long as one, at m = 2^14 and above 0.65-0.85 times.
+# threads took twice as long as one. On a 2-vCPU VM, in two sets of
+# alternated pairs of a report's 12 seeds, two took 0.66-0.99 times as long
+# as one at m = 134,128 and 0.56-0.61 times at m = 1,342,948.
 _THREADED_EDGES = 2**14
 
 
@@ -171,10 +174,30 @@ def _rho_from_permutation_ranks(rx: np.ndarray, ry: np.ndarray, prod: np.ndarray
     """Spearman's rho of two rank permutations of 1..m. prod is an int64
     scratch of m values and is overwritten: a product is at most m^2 < 2^56,
     so the products are summed exactly in blocks."""
-    m = prod.size
     np.multiply(rx, ry, out=prod, dtype=np.int64)
-    num = 12 * _block_sum(prod, m * m) - 3 * m * (m + 1) ** 2
-    return num / (m**3 - m)
+    return _rho_from_sum(prod.size, _block_sum(prod, prod.size**2))
+
+
+def _rho_from_sum(m: int, s: int) -> float:
+    """Spearman's rho of two rank permutations of 1..m whose products sum to s."""
+    return (12 * s - 3 * m * (m + 1) ** 2) / (m**3 - m)
+
+
+def _descending(ry: np.ndarray, order: np.ndarray, buffers: tuple, *, dot: bool) -> int:
+    """Σ rx·ry if dot, else 0 once rx is written into ry, for rx[order[k]] =
+    m - k, a chunk at a time in the int32 halves of the draw chunk of buffers
+    (see ranking._rank_buffers). The products, at most m^2, overwrite order."""
+    rx, taken = buffers[0].view(np.int32).reshape(2, -1)
+    np.subtract(order.size, buffers[3].view(np.int64), out=rx)
+    for k in range(0, order.size, rx.size):
+        part, n = order[k : k + rx.size], min(rx.size, order.size - k)
+        if dot:
+            # "raise" would copy out first
+            np.multiply(rx[:n], np.take(ry, part, out=taken[:n], mode="clip"), out=part, dtype=np.int64)
+        else:
+            ry[part] = rx[:n]
+        rx -= rx.size
+    return _block_sum(order, order.size**2) if dot else 0
 
 
 def spearman_uniform(g: DirectedGraph, t: DependencyType, seed: int) -> float:
@@ -194,36 +217,32 @@ def _spearman_uniform_seeded(
     row of one graph, in row order and then seed order; at least one seed.
 
     Worker w, of one per core from m = 2^14 on, takes seeds w, w + workers,
-    ...: in its own buffers it ranks each one's target side and gathers the
-    ranks by the source side's order. Worker 0 ranks the source side and
-    worker 1 the target side of an odd seed out, and the caller forms its rho.
+    ...: in its own buffers it ranks each one's target side and sums the
+    rank products along the source side's order. Worker 0 ranks the source
+    side and worker 1 the target side of an odd seed out; the caller forms its rho.
     """
     m = _pair_count(rows[0][0][0].size, 2, "spearman")
     tasks = [(cx, cy, ss) for (cx, *_), (cy, *_), seeds in rows for ss in seeds]
     workers = min(_workers or (_core_count() if m >= _THREADED_EDGES else 1), 2 * len(tasks))
     halves = tasks[-1][2].spawn(2) if len(tasks) % workers else []
-    desc = np.arange(m, 0, -1, dtype=np.int32)
     # allocated on the calling thread, so that no helper grows a malloc arena;
-    # a worker's draws, keys, chunk and ranks serve each of its seeds
+    # a worker's keys, chunks and target ranks serve each of its seeds
     buffers = [(_rank_buffers(m), np.empty(m, np.int32)) for _ in range(workers)]
     rhos = [0.0] * len(tasks)
 
     def work(w: int, failures: list[BaseException]) -> None:
         # calls no public function: perfbench traces those on one span stack
         keyed, ry = buffers[w]
-        spent = keyed[0].view(np.int32)[:m]
         for i in range(w, len(tasks) - bool(halves), workers):
             if failures:
                 return
             cx, cy, ss = tasks[i]
             src, tgt = ss.spawn(2)
-            ry[_packed_order(cy, np.random.default_rng(tgt), keyed)] = desc
+            _descending(ry, _packed_order(cy, np.random.default_rng(tgt), keyed), keyed, dot=False)
             order = _packed_order(cx, np.random.default_rng(src), keyed)
-            # sum(rx * ry) = sum(desc * ry[order]); "raise" would copy out first
-            np.take(ry, order, out=spent, mode="clip")
-            rhos[i] = _rho_from_permutation_ranks(desc, spent, order)
+            rhos[i] = _rho_from_sum(m, _descending(ry, order, keyed, dot=True))
         if w < len(halves) and not failures:
-            ry[_packed_order(tasks[-1][w], np.random.default_rng(halves[w]), keyed)] = desc
+            _descending(ry, _packed_order(tasks[-1][w], np.random.default_rng(halves[w]), keyed), keyed, dot=False)
 
     _in_parallel(work, workers)
     if halves:

@@ -22,10 +22,12 @@ with one sort, a stable one of int16 codes or one of code * m + index for
 wider codes, uniform_random with one in-place sort of a uint64 key per
 value: from the high bits down, its dense code, the top db bits of its draw
 (a random() draw is exactly k / 2**53, so they carry no rounding) and its
-index, from which the order is read. Neighbours whose keys differ only in
-the index form runs, and one lexsort of every run's members by (run, draw,
-index) puts them in the lexsort's order even for equal draws. A degree
-series leaves db >= 21, and such runs are rare.
+index, from which the order is read; the keys are built 2^14 draws at a
+time. Neighbours whose keys differ only in the index form runs, and one
+lexsort of every run's members by (run, draw, index), their draws drawn
+again from the generator's state before the keys, puts them in the
+lexsort's order even for equal draws. A degree series leaves db >= 21,
+and such runs hold a handful of members.
 """
 from __future__ import annotations
 
@@ -101,25 +103,25 @@ def _key_bits(codes: np.ndarray, draw_bits: int = 53) -> tuple[int, int]:
 
 
 def _rank_buffers(m: int) -> tuple[np.ndarray, ...]:
-    """(draws, keys, scratch, index) for _packed_order: m float64 draws, m
-    uint64 keys, and a chunk of up to 2^14 uint64 values and its indices, in
+    """(draws, keys, scratch, index) for _packed_order: m uint64 keys, and a
+    chunk of up to 2^14 float64 draws, uint64 values and their indices, in
     which the keys are built and their neighbours compared."""
     chunk = min(max(m, 1), 2**14)
-    return np.empty(m), np.empty(m, np.uint64), np.empty(chunk, np.uint64), np.arange(chunk, dtype=np.uint64)
+    return np.empty(chunk), np.empty(m, np.uint64), np.empty(chunk, np.uint64), np.arange(chunk, dtype=np.uint64)
 
 
 def _packed_order(codes: np.ndarray, rng: np.random.Generator, buffers: tuple, *, draw_bits: int = 53) -> np.ndarray:
-    """np.lexsort((draws, codes)), draws = rng.random(m), as an int64 view of
-    the keys of buffers (see _rank_buffers), all of which it overwrites; the
-    key takes the top db <= draw_bits bits of each draw (see _key_bits)."""
+    """np.lexsort((draws, codes)), draws = rng.random(m) in chunks, as an int64
+    view of the keys of buffers (see _rank_buffers), all of which it overwrites;
+    the key takes the top db <= draw_bits bits of each draw (see _key_bits)."""
     ib, db = _key_bits(codes, draw_bits)
     draws, keys, scratch, index = buffers
-    rng.random(out=draws)
+    start = rng.bit_generator.state
     for j in range(0, keys.size, scratch.size):
         part = keys[j : j + scratch.size]
         chunk = scratch[: part.size]
         # draw * 2**db = k * 2**(db - 53) exactly; the cast keeps k's top db bits
-        np.multiply(draws[j : j + part.size], 2.0**db, out=part, casting="unsafe")
+        np.multiply(rng.random(out=draws[: part.size]), 2.0**db, out=part, casting="unsafe")
         np.left_shift(part, ib, out=part)
         np.left_shift(codes[j : j + part.size], db + ib, out=chunk, dtype=np.uint64, casting="unsafe")
         np.bitwise_or(chunk, index[: part.size], out=chunk)
@@ -137,22 +139,37 @@ def _packed_order(codes: np.ndarray, rng: np.random.Generator, buffers: tuple, *
         if gap.min() <= mask:
             pairs.append(np.flatnonzero(gap <= mask) + j)
     if pairs:
-        _reorder_runs(keys, np.concatenate(pairs), draws, ib)
+        _reorder_runs(keys, np.concatenate(pairs), ib, rng, start, draws)
     np.bitwise_and(keys, mask, out=keys)
     return keys.view(np.int64)
 
 
-def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, draws: np.ndarray, ib: int) -> None:
+def _reorder_runs(keys: np.ndarray, pairs: np.ndarray, ib: int, rng, start: dict, chunk: np.ndarray) -> None:
     """Sort every run of keys that share (code, draw prefix) by (draw, index)
     in one lexsort, keeping only the index bits. pairs holds, ascending, each
     p whose keys p and p + 1 share them; a run starts where p - 1 is not one
-    and ends at its last p + 1. A scan finds both (np.isin would hash)."""
+    and ends at its last p + 1. A scan finds both (np.isin would hash). Their
+    draws come again from state start into chunk: a PCG64 jumps to the next
+    member not drawn yet (one output per draw), any other rng draws on."""
     first = np.diff(pairs, prepend=-2) != 1
     last = np.append(np.flatnonzero(first[1:]), pairs.size - 1)
     members = np.insert(pairs, last + 1, pairs[last] + 1)
     run = np.cumsum(np.insert(first, last + 1, False))
     index = keys[members] & ((1 << ib) - 1)
-    keys[members] = index[np.lexsort((index, draws[index], run))]
+    bits, by_index, draws = rng.bit_generator, np.argsort(index), np.empty(index.size)
+    # int64: against a Python int, searchsorted would cast uint64 to float64 at each call
+    jumps, ordered, at, i = isinstance(bits, np.random.PCG64), index[by_index].view(np.int64), 0, 0
+    end, bits.state = bits.state, start
+    while i < index.size:
+        s = int(ordered[i]) if jumps else at
+        if jumps:
+            bits.advance(s - at)
+        j = int(np.searchsorted(ordered, s + chunk.size))
+        at = int(ordered[j - 1]) + 1 if j > i else s + chunk.size
+        draws[by_index[i:j]] = rng.random(out=chunk[: at - s])[ordered[i:j] - s]
+        i = j
+    bits.state = end
+    keys[members] = index[np.lexsort((index, draws, run))]
 
 
 def permutation_ranks(

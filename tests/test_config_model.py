@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,31 @@ class TestRandomizationStudy:
         g = dc.bridge_graph(dc.BridgeParams(2, 2))
         with pytest.raises(ValueError, match="rho_inner"):
             randomization_study(g, 2, 0, rho_inner=rho_inner)
+
+    def test_memory_is_freed_between_repetitions(self, monkeypatch):
+        # each ECM draw starts with only the (n, 2) degree pairs and the
+        # samples held (~14 kB here): not the degree table (16 B per node,
+        # 182 kB) nor the previous repetition's graph (16 B per edge, 177
+        # kB); the report of a draw then sets the peak
+        g = dc.random_bridge_collection(300, 10.0, PowerLawSpec(1.5, 1), 3)
+        draw = config_model.erased_configuration_model
+        held = []
+
+        def spy(pairs, rng):
+            held.append(tracemalloc.get_traced_memory()[0] - pairs.nbytes)
+            return draw(pairs, rng)
+
+        monkeypatch.setattr(config_model, "erased_configuration_model", spy)
+        tracemalloc.start()
+        try:
+            randomization_study(g, 3, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 3
+        assert max(held) < 4 * g.edge_count
+        # 84 B/edge here; 110 with the table and the previous draw kept
+        assert peak < 90 * g.edge_count
 
     def test_null_model_self_consistency(self):
         # measuring a previous ECM draw against its own null should be small

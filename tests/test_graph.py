@@ -198,9 +198,9 @@ def test_fast_path_leaves_what_it_cannot_prove_to_the_loop(data):
     ],
 )
 def test_fast_path_reads_long_ids(data):
-    fast = _parse_fast(data)
-    assert fast is not None
-    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+    # the reader takes the file, so load_edge_list's result is the fast path's
+    assert _parse_fast(data) is not None
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
 
 
 @pytest.mark.parametrize("ends", [[b"\n"], [b"\r"], [b"\n", b"\r\n", b"\r", b"\n\n"]])
@@ -208,9 +208,9 @@ def test_fast_path_reads_a_file_of_many_pieces(ends):
     # the reader gets the file in pieces of about 64 KiB that end at an LF
     lines = [b"%d\t%d" % (i, i * 7919 % 5000) for i in range(30_000)]
     data = b"".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
-    fast = _parse_fast(data)
-    assert fast is not None
-    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+    # the reader takes the file, so load_edge_list's result is the fast path's
+    assert _parse_fast(data) is not None
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
 
 
 def test_fast_path_defers_an_id_read_through_a_float(monkeypatch):
@@ -244,9 +244,9 @@ def test_fast_path_ids_near_the_packed_key_limit(edges):
     rng = np.random.default_rng(edges)
     ids = (10**18 - 1 - rng.integers(0, 3, 2 * edges)).tolist()
     data = "".join(f"{s} {t}\n" for s, t in zip(ids[0::2], ids[1::2])).encode()
-    fast = _parse_fast(data)
-    assert fast is not None
-    assert _load_outcome(lambda d: fast, data) == _load_outcome(_parse_lines, data)
+    # the reader takes the file, so load_edge_list's result is the fast path's
+    assert _parse_fast(data) is not None
+    assert _load_outcome(dc.load_edge_list, data) == _load_outcome(_parse_lines, data)
 
 
 class TestWriteEdgeList:
@@ -283,13 +283,29 @@ def test_edge_list_io_memory(tmp_path):
     # no temporary the size of the output, let alone one per edge
     assert _traced_peak(dc.write_edge_list, g, path)[1] < 2 * 2**20
     data = path.read_bytes()
-    fast, fast_peak = _traced_peak(_parse_fast, data)
+    assert _parse_fast(data) is not None
+    fast, fast_peak = _traced_peak(dc.load_edge_list, data)
     loop, loop_peak = _traced_peak(_parse_lines, data)
     # no int64 temporary per input byte: the fast path needs no more than the loop
     assert fast_peak <= loop_peak
     # and at this size ids repeat, so each value's first position decides its id
     assert fast.graph == loop.graph
     assert fast.external_ids.tolist() == loop.external_ids.tolist()
+
+
+def test_load_frees_the_file_bytes_before_the_remap(tmp_path):
+    # from a path, file bytes (11.8 B/edge here) included: the reader's ids
+    # (16 B/edge), then the remap's sorted ids, positions, marks and int32
+    # running count. 65 B/edge here; the file bytes held through the remap
+    # would add 11.8, an int64 running count 16
+    rng = np.random.default_rng(5)
+    m = 100_000
+    g = dc.DirectedGraph(m, rng.integers(0, m, m), rng.integers(0, m, m))
+    path = tmp_path / "g.txt"
+    dc.write_edge_list(g, path)
+    loaded, peak = _traced_peak(dc.load_edge_list, path)
+    assert peak <= 72 * m
+    assert loaded.graph.edge_count == m
 
 
 class TestDegrees:

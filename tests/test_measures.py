@@ -19,6 +19,7 @@ from degcorr import (
     DegenerateSizeError,
     EmptyGraphError,
     ZeroVarianceError,
+    _exact,
     _kernels,
     config_model,
     graph,
@@ -30,13 +31,15 @@ from degcorr.cli import main
 from degcorr.measures import (
     MAX_REPETITIONS,
     MEASURES,
+    _descending,
     _rho_from_permutation_ranks,
+    _rho_from_sum,
     _spearman_uniform_seeded,
     concordance_counts,
     row_values,
     variance_gap,
 )
-from degcorr.ranking import _codes_and_counts, permutation_ranks
+from degcorr.ranking import _codes_and_counts, _rank_buffers, permutation_ranks
 from degcorr.report import compute_report
 
 from helpers import brute_concordance, brute_pearson, random_multigraph, vertex_pearson
@@ -344,15 +347,19 @@ class TestSpearmanUniformThreads:
         fix_up_threads = []
 
         class GridDraws:
+            """A stream of draws on the grid, each call the next slice (the
+            whole stream for the oracle): the fix-up draws its run members
+            again through the PCG64 beneath."""
+
             def __init__(self, ss):
                 self.rng = default_rng(ss)
+                self.bit_generator = self.rng.bit_generator
 
             def random(self, m=None, out=None):
-                grid = np.floor(self.rng.random(m if out is None else out.size) * 64) / 64
-                if out is None:
-                    return grid
-                out[:] = grid
-                return out
+                draws = self.rng.random(m, out=out)
+                np.floor(draws * 64, out=draws)
+                draws /= 64
+                return draws
 
         def spy(*args):
             fix_up_threads.append(threading.current_thread())
@@ -526,9 +533,9 @@ class TestSpearmanUniformThreads:
         assert len(threads) == 1 + 2
 
     def test_report_temporaries_per_edge(self, monkeypatch):
-        # beyond the graph: two workers' draws, keys and target ranks (20
-        # B/edge each), the shared desc (4) and four int16 sides (8), about
-        # 52 B/edge. A source-side rank buffer per worker would add 8 and a
+        # beyond the graph: two workers' keys and target ranks (12 B/edge
+        # each), their 2^14-value chunks and four int16 sides (8), 39 B/edge
+        # here. An m-sized float64 draw buffer per worker would add 16 and a
         # degree table held through the tie-breaks 16 B per node (12 here).
         spec = dc.PowerLawSpec(2.5, 1)
         rng = np.random.default_rng(7)
@@ -544,7 +551,26 @@ class TestSpearmanUniformThreads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * g.edge_count
+        assert peak < 44 * g.edge_count
+
+    @pytest.mark.parametrize("m", [2, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+    def test_chunked_rho_matches_the_whole_one(self, monkeypatch, m):
+        # blocks of 100 products: every chunk's sum spans several blocks
+        monkeypatch.setattr(_exact, "_INT64_SAFE", 100 * m * m)
+        rng = np.random.default_rng(m)
+        ry = (rng.permutation(m) + 1).astype(np.int32)
+        order = rng.permutation(m)
+        rx = np.empty(m, np.int64)
+        rx[order] = np.arange(m, 0, -1)
+        buffers = _rank_buffers(m)
+        # the dot writes its products over the order it reads
+        got = _descending(ry, order.copy(), buffers, dot=True)
+        assert got == sum(int(a) * int(b) for a, b in zip(rx.tolist(), ry.tolist()))
+        assert _rho_from_sum(m, got) == _rho_from_permutation_ranks(rx, ry, np.empty(m, np.int64))
+        # the scatter writes the same ranks
+        scattered = np.zeros(m, np.int32)
+        assert _descending(scattered, order, buffers, dot=False) == 0
+        assert scattered.tolist() == rx.tolist()
 
     @pytest.mark.parametrize("cpus, cores", [({0}, 1), ({0, 1}, 2), (set(range(8)), 2)])
     def test_core_count(self, monkeypatch, cpus, cores):

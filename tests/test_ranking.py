@@ -133,16 +133,21 @@ def lexsort_ranks(values, tiebreak):
 
 
 class RepeatedDraws:
-    """A uniform_random rng whose draws repeat, so the tiebreak has ties."""
+    """A uniform_random rng whose draws repeat, so the tiebreak has ties.
+
+    Each call fills the next slice of draws; it is its own bit_generator,
+    whose state is the position in draws, so the run fix-up redraws from a
+    saved state as it does on any generator that cannot jump."""
 
     def __init__(self, draws):
         self.draws = np.asarray(draws, dtype=np.float64)
+        self.bit_generator = self
+        self.state = 0
 
-    def random(self, m=None, out=None):
-        if out is None:
-            assert m == self.draws.size
-            return self.draws.copy()
-        out[:] = self.draws
+    def random(self, out):
+        assert self.state + out.size <= self.draws.size
+        out[:] = self.draws[self.state : self.state + out.size]
+        self.state += out.size
         return out
 
 
@@ -189,6 +194,40 @@ def test_tie_anywhere_in_the_sorted_draws_takes_the_lexsort(monkeypatch, tied_at
     got = _packed_order(values, RepeatedDraws(draws), buffers)
     assert calls == [[tied_at - 1]]
     assert got.tolist() == np.lexsort((draws, values)).tolist()
+
+
+@pytest.mark.parametrize("m", [2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 1])
+@pytest.mark.parametrize("draw_bits", [3, 8])
+def test_chunked_draws_take_the_lexsort_of_one_draw(m, draw_bits):
+    # 5 codes and 3 or 8 draw bits: runs of a shared (code, draw prefix)
+    # gather members from every 2^14-value chunk of the stream, which the
+    # fix-up draws again; the generator ends where one random(m) leaves it
+    codes = np.random.default_rng(m).integers(0, 5, m).astype(np.int16)
+    whole = np.random.default_rng(draw_bits)
+    draws = whole.random(m)
+    rng = np.random.default_rng(draw_bits)
+    order = _packed_order(codes, rng, _rank_buffers(m), draw_bits=draw_bits)
+    assert order.tolist() == np.lexsort((draws, codes)).tolist()
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("tied_chunk", [0, 1, 2])
+def test_fix_up_reads_the_chunk_of_its_run(monkeypatch, bit_generator, tied_chunk):
+    # every code its own but 40 zeros in one chunk of the stream, whose draws
+    # share 8 prefixes: only that chunk holds runs. A PCG64 jumps to it, any
+    # other generator draws the chunks before it again
+    m, size = 3 * 2**14, 2**14
+    codes = np.arange(1, m + 1)
+    codes[tied_chunk * size + 100 : tied_chunk * size + 140] = 0
+    whole = np.random.Generator(bit_generator(5))
+    draws = whole.random(m)
+    rng = np.random.Generator(bit_generator(5))
+    calls = spy_runs(monkeypatch)
+    order = _packed_order(codes, rng, _rank_buffers(m), draw_bits=3)
+    assert len(calls) == 1
+    assert order.tolist() == np.lexsort((draws, codes)).tolist()
+    assert rng.random(4).tolist() == whole.random(4).tolist()
 
 
 def draw_ranks(codes, draws, draw_bits=53):

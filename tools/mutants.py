@@ -169,6 +169,32 @@ CATALOGUE = (
         "a doubled rank one rank off is off by two",
     ),
     Mutant(
+        "ranking-draws-one-chunk-off", RANKING,
+        'np.multiply(rng.random(out=draws[: part.size]), 2.0**db, out=part, casting="unsafe")',
+        'np.multiply(draws[: part.size], 2.0**db, out=part, casting="unsafe")\n'
+        "        rng.random(out=draws[: part.size])",
+        (T_RANKING,),
+        "each chunk's keys take that chunk's draws, not the ones drawn before",
+    ),
+    Mutant(
+        "ranking-fix-up-reads-next-chunk", RANKING,
+        "bits.advance(s - at)", "bits.advance(s - at + chunk.size)",
+        (T_RANKING,),
+        "a PCG64 jumps to the next run member's draw, one 64-bit output per draw",
+    ),
+    Mutant(
+        "ranking-fix-up-skips-without-jumping", RANKING,
+        "s = int(ordered[i]) if jumps else at", "s = int(ordered[i])",
+        (T_RANKING,),
+        "a generator that cannot jump draws on through the values between run members",
+    ),
+    Mutant(
+        "ranking-fix-up-leaves-generator-moved", RANKING,
+        "    bits.state = end\n", "",
+        (T_RANKING,),
+        "the generator ends where one random(m) leaves it, whatever the fix-up drew again",
+    ),
+    Mutant(
         "ranking-run-appended-one-slot-early", RANKING,
         "members = np.insert(pairs, last + 1, pairs[last] + 1)",
         "members = np.insert(pairs, last, pairs[last] + 1)",
@@ -184,13 +210,13 @@ CATALOGUE = (
     ),
     Mutant(
         "ranking-run-dropped-from-lexsort", RANKING,
-        "np.lexsort((index, draws[index], run))", "np.lexsort((index, draws[index]))",
+        "np.lexsort((index, draws, run))", "np.lexsort((index, draws))",
         (T_RANKING,),
         "runs must stay in their own slots",
     ),
     Mutant(
         "ranking-draw-and-index-swapped", RANKING,
-        "np.lexsort((index, draws[index], run))", "np.lexsort((draws[index], index, run))",
+        "np.lexsort((index, draws, run))", "np.lexsort((draws, index, run))",
         (T_RANKING,),
         "within a run the draw decides, the index breaks equal draws",
     ),
@@ -209,22 +235,27 @@ CATALOGUE = (
     ),
     Mutant(
         "measures-split-sides-swapped", MEASURES,
-        "ry[_packed_order(tasks[-1][w],", "ry[_packed_order(tasks[-1][1 - w],",
+        "_packed_order(tasks[-1][w],", "_packed_order(tasks[-1][1 - w],",
         (T_THREADS,),
         "worker 0 ranks the odd seed's source side, worker 1 its target side",
     ),
     Mutant(
         "measures-gather-reversed", MEASURES,
-        'np.take(ry, order, out=spent, mode="clip")', 'np.take(ry, order[::-1], out=spent, mode="clip")',
+        'np.take(ry, part, out=taken[:n], mode="clip")', 'np.take(ry, part[::-1], out=taken[:n], mode="clip")',
         (T_THREADS, "tests/test_measures.py::TestSpearmanUniform"),
-        "sum(rx * ry) = sum(desc * ry[order]) needs the order as it is",
+        "each chunk's ranks m - k pair with the target ranks along the order as it is",
     ),
     Mutant(
         "measures-target-scatter-desc-reversed", MEASURES,
-        "ry[_packed_order(cy, np.random.default_rng(tgt), keyed)] = desc",
-        "ry[_packed_order(cy, np.random.default_rng(tgt), keyed)] = desc[::-1]",
+        "ry[part] = rx[:n]", "ry[part] = rx[:n][::-1]",
         (T_THREADS, "tests/test_measures.py::TestSpearmanUniform"),
         "the target's ranks descend along its order",
+    ),
+    Mutant(
+        "measures-chunked-rho-drops-last-partial-chunk", MEASURES,
+        "for k in range(0, order.size, rx.size):", "for k in range(0, order.size - order.size % rx.size, rx.size):",
+        (T_THREADS,),
+        "the sum runs over all m products, the last chunk's too",
     ),
     Mutant(
         "measures-degree-table-kept", MEASURES,
@@ -295,7 +326,7 @@ CATALOGUE = (
     # graph
     Mutant(
         "graph-fast-path-three-columns", GRAPH,
-        "if ids.shape[1] != 2:", "if ids.shape[1] < 2:",
+        "if ids.shape[1] == 2 else None", "if ids.shape[1] >= 2 else None",
         (T_GRAPH,),
         "a file whose lines all hold three ids reads as three even columns",
     ),
@@ -352,6 +383,18 @@ CATALOGUE = (
         "np.diff(runs, append=count)", "np.diff(runs, prepend=0)",
         (T_GRAPH,),
         "run i runs from runs[i] to the next run start, the last one to the end",
+    ),
+    Mutant(
+        "graph-load-keeps-file-bytes", GRAPH,
+        "    del data  # the remap needs only the ids\n", "",
+        ("tests/test_graph.py::test_load_frees_the_file_bytes_before_the_remap",),
+        "the remap needs only the ids, so the file bytes go before it runs",
+    ),
+    Mutant(
+        "graph-remap-int64-running-count", GRAPH,
+        "dtype=np.int32 if count < 2**31 else np.int64", "dtype=np.int64",
+        ("tests/test_graph.py::test_load_frees_the_file_bytes_before_the_remap",),
+        "a bool cumsum casts to int64 and writes int64: 16 B per id, where int32 takes 8",
     ),
     Mutant(
         "graph-float-arrays-truncated", GRAPH,
@@ -459,6 +502,18 @@ CATALOGUE = (
         "if sums.max() < 2.0**53:", "if sums.max() <= 2.0**53:",
         ("tests/test_config_model.py::TestFloorRowSums",),
         "a float sum of exactly 2^53 can stand for 2^53 + 1",
+    ),
+    Mutant(
+        "config-study-keeps-degree-table", CONFIG,
+        "    del d\n", "",
+        ("tests/test_config_model.py::TestRandomizationStudy",),
+        "the degree pairs are all the study needs of the table",
+    ),
+    Mutant(
+        "config-study-keeps-previous-draw", CONFIG,
+        "        del drawn, rows  # before the next draw\n", "",
+        ("tests/test_config_model.py::TestRandomizationStudy",),
+        "a repetition's ECM draw runs without the previous draw alive",
     ),
     Mutant(
         "config-repetition-dropped", CONFIG,
