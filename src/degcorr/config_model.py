@@ -15,7 +15,7 @@ from . import measures
 from .errors import BalanceFailedError, EmptyGraphError, UnbalancedStubsError
 from ._exact import _exact_sum, exact_power_sum
 from .generators import PowerLawSpec, _floor_cut, _pareto_transform
-from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _as_int64, _sorted_edge_keys, degrees
+from .graph import ALL_TYPES, MAX_EDGES, DirectedGraph, _as_int64, _count, _sorted_edge_keys, degrees
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _exact_row_sum(row: np.ndarray) -> int:
 def _floor_row_sums(spec: PowerLawSpec, block: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Int64 row sums, modulo 2**64, of the draws a C-contiguous block of uniforms maps to; the block is kept.
     tail is float64 scratch of block.size elements; the mask shares it, read before tail is written."""
-    n, low = block.shape[1], min(spec.x_min, 2**62)  # a draw below the cut maps to low
+    n, low = block.shape[1], spec.x_min  # a draw below the cut maps to x_min
     mask = np.greater_equal(block, _floor_cut(spec), out=tail.view(bool)[: block.size].reshape(block.shape))
     mask[:, 0] = True  # each row keeps a mapped draw: reduceat does not sum an empty row to 0
     idx = np.flatnonzero(mask)
@@ -156,8 +156,7 @@ def balance_iid_sequence(
     so the budget is a configuration knob rather than a correctness
     parameter.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    max_attempts = _count(max_attempts, "max_attempts", 1)
     pairs = _as_int64(pairs, columns=2)
     if exact_power_sum(pairs[:, 0], 1) == exact_power_sum(pairs[:, 1], 1):
         return pairs, 0
@@ -219,8 +218,8 @@ def randomization_study(
     come out undefined (zero variance on a draw) are excluded from that
     cell's mean and counted in `defined`.
     """
-    measures._check_repetitions("repetitions", repetitions, 2)
-    measures._check_repetitions("rho_inner", rho_inner, 1)
+    repetitions = _count(repetitions, "repetitions", 2, measures.MAX_REPETITIONS, "repetition budget")
+    rho_inner = _count(rho_inner, "rho_inner", 1, measures.MAX_REPETITIONS, "repetition budget")
     if g.edge_count == 0:
         raise EmptyGraphError("cannot randomize an empty graph")
     d = degrees(g)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MAX_EDGES, DirectedGraph
+from .graph import MAX_EDGES, DirectedGraph, _count
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,8 @@ class BridgeParams:
     m: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.k, self.m)):
-            raise ValueError(f"bridge parameters must be integers >= 1, got k={self.k!r}, m={self.m!r}")
+        object.__setattr__(self, "k", _count(self.k, "k", 1, MAX_EDGES, "edge budget"))
+        object.__setattr__(self, "m", _count(self.m, "m", 1, MAX_EDGES, "edge budget"))
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class PowerLawSpec:
     """Pareto tail: P(X > t) ~ (x_min / t)**gamma. Moments of order >= gamma diverge.
 
     gamma = inf is allowed: every draw then equals x_min. NaN is rejected.
-    x_min is a Python or numpy integer of at least 1; a float, even 2.0, is
-    refused: balancing counts each draw below the floor cut as exactly x_min,
-    and draws are integers.
+    x_min is a Python or numpy integer from 1 to 2**62, the draws' clamp; a
+    float, even 2.0, is refused: balancing counts each draw below the floor
+    cut as exactly x_min, and draws are integers.
     """
 
     gamma: float
@@ -41,8 +41,7 @@ class PowerLawSpec:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not isinstance(self.x_min, (int, np.integer)) or self.x_min < 1:
-            raise ValueError(f"x_min must be a positive integer, got {self.x_min!r}")
+        object.__setattr__(self, "x_min", _count(self.x_min, "x_min", 1, 2**62))
 
 
 def bridge_graph(p: BridgeParams) -> DirectedGraph:
@@ -110,8 +109,7 @@ def sample_integer_power_law(
     so 1-U is in (0, 1] and X >= x_min always. The floor keeps the exact tail
     index: P(floor(X) > t) = (x_min / (t+1))**gamma for integer t >= x_min.
     """
-    if not 1 <= count <= MAX_EDGES:
-        raise ValueError(f"count must be from 1 to the edge budget {MAX_EDGES}, got {count}")
+    count = _count(count, "count", 1, MAX_EDGES, "edge budget")
     return _pareto_transform(spec, np.random.default_rng(seed_or_rng).random(count)).astype(np.int64)
 
 
@@ -144,8 +142,6 @@ def iid_degree_sequence(
     (or from the SeedSequence passed in). Not balanced: sum(out) != sum(in)
     in general. Balancing for the configuration model is a separate step.
     """
-    if not 1 <= n <= MAX_EDGES:
-        raise ValueError(f"n must be from 1 to the edge budget {MAX_EDGES}, got {n}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     out_ss, in_ss = ss.spawn(2)
     out = sample_integer_power_law(spec_out, np.random.default_rng(out_ss), n)
@@ -162,8 +158,6 @@ def random_bridge_collection(
     integer power-law samples on separate streams. Component node-id blocks
     are contiguous, each laid out like bridge_graph.
     """
-    if not 1 <= n <= MAX_EDGES:
-        raise ValueError(f"n must be from 1 to the edge budget {MAX_EDGES}, got {n}")
     if not a > 0:
         raise ValueError("a must be positive")
     if not (1.0 < spec.gamma < 2.0):

@@ -7,6 +7,7 @@ downstream formula; only the configuration model enforces simplicity.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,6 +74,16 @@ def _shaped(values, columns: int = 0) -> np.ndarray:
     return arr
 
 
+def _count(value, what: str, least: int, most: int = 2**63, budget: str = "") -> int:
+    """int(value) for a Python or numpy integer, not a bool, from least to most:
+    the one place that decides a size or count argument. most defaults to the
+    number of int64 ids; budget names it when it is a budget."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and least <= int(value) <= most:
+        return int(value)
+    bound = f"the {budget} {most}" if budget else most
+    raise ValueError(f"{what} must be an integer from {least} to {bound}, got {value!r}")
+
+
 def _as_int64(values, columns: int = 0) -> np.ndarray:
     """values, shaped as _shaped checks, as a C-contiguous int64 array: the
     caller's own array when it is one. Any dtype but a signed or unsigned
@@ -118,18 +129,17 @@ class DirectedGraph:
     __slots__ = ("node_count", "src", "tgt")
 
     def __init__(self, node_count: int, src: np.ndarray, tgt: np.ndarray):
+        node_count = _count(node_count, "node_count", 0)
         src = _as_readonly(src)
         tgt = _as_readonly(tgt)
         if src.shape != tgt.shape:
             raise ValueError("src and tgt must be 1-d arrays of equal length")
-        if not isinstance(node_count, (int, np.integer)) or node_count < 0:
-            raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         if src.size:
             lo = min(int(src.min()), int(tgt.min()))
             hi = max(int(src.max()), int(tgt.max()))
             if lo < 0 or hi >= node_count:
                 raise ValueError("edge endpoint outside [0, node_count)")
-        self.node_count = int(node_count)
+        self.node_count = node_count
         self.src = src
         self.tgt = tgt
 
@@ -438,8 +448,10 @@ def vertex_moment_sum(d: DegreeTable, p: float, q: float) -> float | int:
     """Sum over nodes of out_degree**p * in_degree**q, with 0**0 == 1.
 
     Integer p, q up to 3 are accumulated exactly in integer arithmetic (the
-    Pearson identities are tested exactly); other exponents use float64.
+    Pearson identities are tested exactly); other finite exponents use float64.
     """
+    if not (math.isfinite(p) and math.isfinite(q)):
+        raise ValueError(f"p and q must be finite, got p={p}, q={q}")
     p_int = float(p).is_integer() and 0 <= p <= 3
     q_int = float(q).is_integer() and 0 <= q <= 3
     if p_int and q_int:

@@ -40,8 +40,8 @@ import numpy as np
 from . import _kernels
 from ._exact import _block_sum, _exact_sum, exact_dot, exact_power_sum
 from .errors import DegenerateSizeError, EmptyGraphError, ZeroVarianceError
-from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _moment_exponents, degrees,
-                    edge_degree_pairs, vertex_moment_sum)
+from .graph import (DegreeTable, DependencyType, DirectedGraph, PairSeries, _count, _moment_exponents,
+                    degrees, edge_degree_pairs, vertex_moment_sum)
 from .ranking import (_codes_and_counts, _doubled_ranks, _packed_order, _rank_buffers, average_ranks_doubled,
                       permutation_ranks)
 
@@ -88,11 +88,6 @@ def _in_parallel(work: Callable[[int, list[BaseException]], None], workers: int)
 # alternated pairs of a report's 12 seeds, two took 0.66-0.99 times as long
 # as one at m = 134,128 and 0.56-0.61 times at m = 1,342,948.
 _THREADED_EDGES = 2**14
-
-
-def _check_repetitions(what: str, count: int, least: int) -> None:
-    if not least <= count <= MAX_REPETITIONS:
-        raise ValueError(f"{what} must be between {least} and {MAX_REPETITIONS}, got {count}")
 
 
 # One side of a pair series: (codes, counts, distinct), see ranking._codes_and_counts.
@@ -273,7 +268,7 @@ def spearman_uniform_mean(
     g: DirectedGraph, t: DependencyType, repetitions: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of spearman_uniform over derived seeds."""
-    _check_repetitions("repetitions", repetitions, 2)
+    repetitions = _count(repetitions, "repetitions", 2, MAX_REPETITIONS, "repetition budget")
     seeds = np.random.SeedSequence(seed).spawn(repetitions)
     vals = np.array(_spearman_uniform_seeded([(*_coded_sides(g, [t])[0], seeds)]))
     mean = float(vals.mean())

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import measures
 from .config_model import RandomizationSummary
-from .graph import ALL_TYPES, DependencyType, DirectedGraph
+from .graph import ALL_TYPES, DependencyType, DirectedGraph, _count
 
 SCHEMA_VERSION = 1
 TYPE_ORDER = tuple(t.wire_name for t in ALL_TYPES)
@@ -58,7 +58,7 @@ def compute_report(
     The spearman_uniform cell reports the mean over rho_repetitions
     tie-break instances, each on a seed derived from (seed, type index).
     """
-    measures._check_repetitions("rho_repetitions", rho_repetitions, 1)
+    rho_repetitions = _count(rho_repetitions, "rho_repetitions", 1, measures.MAX_REPETITIONS, "repetition budget")
     for what, chosen in (("types", types), ("measures", which)):
         if not chosen or len(set(chosen)) < len(chosen):
             raise ValueError(f"{what} must be a non-empty list without repeats, got {','.join(chosen)!r}")

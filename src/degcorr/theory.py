@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import PowerLawSpec, iid_degree_sequence, random_bridge_collection
-from .graph import DependencyType, _moment_exponents
-from .measures import _check_repetitions, pearson
+from .graph import MAX_EDGES, DependencyType, _count, _moment_exponents
+from .measures import MAX_REPETITIONS, pearson
 
 # ---------------------------------------------------------------------------
 # bridge-family block structure
@@ -29,8 +29,7 @@ from .measures import _check_repetitions, pearson
 def _bridge_classes(n: int, a: int, variant: str = "connected") -> list[tuple[int, int, int]]:
     if variant not in ("connected", "disconnected"):
         raise ValueError(f"variant must be 'connected' or 'disconnected', got {variant!r}")
-    if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (n, a)):
-        raise ValueError(f"n and a must be integers >= 1, got n={n!r}, a={a!r}")
+    n, a = _count(n, "n", 1), _count(a, "a", 1)
     m = a * n
     if variant == "disconnected":
         return [(0, 1, n), (1, 0, m), (n, 1, 1), (1, m, 1)]
@@ -174,7 +173,7 @@ def closed_form_tau_bridge(n: int, a: int) -> float:
     """Kendall tau of G(n, a*n); the limit -2a/(a+1)^2 also serves the
     disconnected variant, whose extra edge pair washes out."""
     nc, nd = tau_counts_bridge(n, a)
-    e = (a + 1) * n + 1
+    e = sum(c for _, _, c in _bridge_classes(n, a))  # Python ints: (a + 1) * n wraps in numpy ones
     return 2 * (nc - nd) / (e * (e - 1))
 
 
@@ -342,10 +341,10 @@ def scaling_study(
     of the log-log regression is compared with the scaling_exponent
     prediction for the two specs' tail exponents.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [_count(n, "grid size", 1, MAX_EDGES, "edge budget") for n in sizes]
     if len(set(sizes)) < max(3, len(sizes)):
         raise ValueError("need at least 3 grid sizes, without repeats")
-    _check_repetitions("repetitions", repetitions, 1)
+    repetitions = _count(repetitions, "repetitions", 1, MAX_REPETITIONS, "repetition budget")
     if len(set(pq_pairs)) < len(pq_pairs):
         raise ValueError("need (p, q) pairs without repeats")
     if not all(math.isfinite(v) for pq in pq_pairs for v in pq):
@@ -390,7 +389,7 @@ def bridge_distribution_study(
     Realization i is random_bridge_collection(n, a, spec, s_i), where s_i is
     the first word of the i-th child spawned from the seed's SeedSequence.
     """
-    _check_repetitions("realizations", realizations, 1)
+    realizations = _count(realizations, "realizations", 1, MAX_REPETITIONS, "repetition budget")
     values = []
     for ss in np.random.SeedSequence(seed).spawn(realizations):
         g = random_bridge_collection(n, a, spec, int(ss.generate_state(1)[0]))

@@ -9,6 +9,7 @@ Each refuses every shape but its own: a 1-d series, or an (n, 2) table of
 caller's array, and no container freezes or shares it.
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import degcorr as dc
+from degcorr import config_model, generators, graph, measures, report, theory
 
 SPEC = dc.PowerLawSpec(2.5)
 NODES = 2**62  # every non-negative id is a node
@@ -165,3 +167,95 @@ def test_constructors_copy_what_the_caller_holds(build, names, view):
     assert not any(a.flags.writeable for a in arrays)
     s[:] = [1, 0]
     assert all(a.tolist() == [0, 1] for a in arrays)
+
+
+# Every size or count argument takes a Python or numpy integer, not a bool,
+# from its least to its most value, and refuses anything else with a
+# ValueError that names it. The budgets are lowered so that the upper bounds
+# run in a moment.
+EDGE_BUDGET, REPETITION_BUDGET = 64, 4
+GRAPH = dc.bridge_graph(dc.BridgeParams(2, 3))
+IN_OUT = dc.DependencyType.IN_OUT
+
+# (public name, argument): (call on one value, the name the refusal gives,
+# least, most); most is 2**63 where no budget bounds the argument
+SIZES = {
+    ("DirectedGraph", "node_count"): (lambda v: dc.DirectedGraph(v, [], []), "node_count", 0, 2**63),
+    ("DirectedGraph.from_edges", "node_count"): (lambda v: dc.DirectedGraph.from_edges(v, []), "node_count", 0, 2**63),
+    ("BridgeParams", "k"): (lambda v: dc.BridgeParams(v, 1), "k", 1, EDGE_BUDGET),
+    ("BridgeParams", "m"): (lambda v: dc.BridgeParams(1, v), "m", 1, EDGE_BUDGET),
+    ("PowerLawSpec", "x_min"): (lambda v: dc.PowerLawSpec(2.5, v), "x_min", 1, 2**62),
+    ("sample_integer_power_law", "count"): (lambda v: dc.sample_integer_power_law(SPEC, 0, v), "count", 1, EDGE_BUDGET),
+    ("iid_degree_sequence", "n"): (lambda v: dc.iid_degree_sequence(v, SPEC, SPEC, 0), "count", 1, EDGE_BUDGET),
+    ("random_bridge_collection", "n"): (
+        lambda v: dc.random_bridge_collection(v, 1.0, dc.PowerLawSpec(1.5), 0), "count", 1, EDGE_BUDGET),
+    ("balance_iid_sequence", "max_attempts"): (
+        lambda v: dc.balance_iid_sequence([[1, 1]], SPEC, SPEC, 0, v), "max_attempts", 1, 2**63),
+    ("spearman_uniform_mean", "repetitions"): (
+        lambda v: dc.spearman_uniform_mean(GRAPH, IN_OUT, v, 0), "repetitions", 2, REPETITION_BUDGET),
+    ("randomization_study", "repetitions"): (
+        lambda v: dc.randomization_study(GRAPH, v, 0, 1), "repetitions", 2, REPETITION_BUDGET),
+    ("randomization_study", "rho_inner"): (
+        lambda v: dc.randomization_study(GRAPH, 2, 0, v), "rho_inner", 1, REPETITION_BUDGET),
+    ("report.compute_report", "rho_repetitions"): (
+        lambda v: report.compute_report(GRAPH, "g", 0, v), "rho_repetitions", 1, REPETITION_BUDGET),
+    ("theory.scaling_study", "sizes"): (
+        lambda v: theory.scaling_study(SPEC, SPEC, [v, 10, 20], [(1, 0)], 1, 0), "grid size", 1, EDGE_BUDGET),
+    ("theory.scaling_study", "repetitions"): (
+        lambda v: theory.scaling_study(SPEC, SPEC, [1, 2, 3], [(1, 0)], v, 0), "repetitions", 1, REPETITION_BUDGET),
+    ("theory.bridge_distribution_study", "n"): (
+        lambda v: theory.bridge_distribution_study(v, 1.0, dc.PowerLawSpec(1.5), 1, 0), "count", 1, EDGE_BUDGET),
+    ("theory.bridge_distribution_study", "realizations"): (
+        lambda v: theory.bridge_distribution_study(2, 1.0, dc.PowerLawSpec(1.5), v, 0),
+        "realizations", 1, REPETITION_BUDGET),
+    **{
+        (f"theory.{name}", arg): (
+            (lambda v, f=getattr(theory, name): f(v, 1)) if arg == "n" else (lambda v, f=getattr(theory, name): f(1, v)),
+            arg, 1, 2**63,
+        )
+        for name in ("closed_form_pearson_bridge", "closed_form_pearson_bridge_disconnected",
+                     "closed_form_spearman_bridge", "sigma_products_bridge", "closed_form_spearman_ranked",
+                     "tau_counts_bridge", "closed_form_tau_bridge")
+        for arg in ("n", "a")
+    },
+}
+
+
+@pytest.fixture
+def small_budgets(monkeypatch):
+    """EDGE_BUDGET and REPETITION_BUDGET in every module that reads a budget."""
+    for module in (graph, generators, config_model, measures, theory):
+        for name, value in (("MAX_EDGES", EDGE_BUDGET), ("MAX_REPETITIONS", REPETITION_BUDGET)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, value)
+
+
+def _size_outcome(call, value):
+    """call(value)'s canonical result, or its exception's type and message."""
+    try:
+        return _canon(call(value))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(SIZES), ids=[".".join(k) for k in sorted(SIZES)])
+def test_sizes_accepted_at_both_bounds(small_budgets, key):
+    call, what, least, most = SIZES[key]
+    for bound in (least, most):
+        got = _size_outcome(call, bound)
+        # a later check may refuse the call (a union over its edge budget),
+        # but not the intake
+        assert not (isinstance(got, tuple) and got[:1] == (ValueError,) and got[1].startswith(f"{what} must be"))
+        for kind in (np.int64, np.uint8, np.uint64):
+            if np.iinfo(kind).min <= bound <= np.iinfo(kind).max:
+                assert _size_outcome(call, kind(bound)) == got
+
+
+@pytest.mark.parametrize("key", sorted(SIZES), ids=[".".join(k) for k in sorted(SIZES)])
+def test_sizes_refused(small_budgets, key):
+    call, what, least, most = SIZES[key]
+    budget = "the edge budget " if most == EDGE_BUDGET else "the repetition budget " if most == REPETITION_BUDGET else ""
+    for value in (True, np.bool_(True), float(least), least + 0.5, str(least), None, least - 1, most + 1):
+        message = f"{what} must be an integer from {least} to {budget}{most}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)

@@ -80,7 +80,8 @@ class TestBridgeGraph:
     @pytest.mark.parametrize("k, m", [(2.5, 3), (2, 3.0), (np.float64(2.0), 3), ("2", 3)])
     def test_non_integer_sizes_refused(self, k, m):
         # k = 2.5 used to become 2, a 6-edge bridge graph
-        with pytest.raises(ValueError, match=re.escape(f"got k={k!r}, m={m!r}")):
+        name, value = ("k", k) if type(k) is not int else ("m", m)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer from 1 to the edge budget {MAX_EDGES}, got {value!r}")):
             BridgeParams(k, m)
 
     def test_numpy_integer_sizes_accepted(self):
@@ -178,7 +179,7 @@ class TestPowerLawSampler:
     @pytest.mark.parametrize("x_min", [1.5, 2.0, np.float64(3.0)])
     def test_non_integer_x_min_rejected(self, x_min):
         # balancing counts each draw below the floor cut as exactly x_min
-        with pytest.raises(ValueError, match=re.escape(f"x_min must be a positive integer, got {x_min!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"x_min must be an integer from 1 to {2**62}, got {x_min!r}")):
             PowerLawSpec(2.5, x_min)
 
     def test_numpy_integer_x_min_accepted(self):
@@ -191,7 +192,7 @@ class TestPowerLawSampler:
         assert dc.sample_integer_power_law(PowerLawSpec(2.5), 0, 100).size == 100
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="count must be from 1 to the edge budget 100, got 101"):
+        with pytest.raises(ValueError, match="count must be an integer from 1 to the edge budget 100, got 101"):
             dc.sample_integer_power_law(PowerLawSpec(2.5), rng, 101)
         assert rng.bit_generator.state == state
 

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import tracemalloc
 import warnings
@@ -382,6 +383,15 @@ class TestVertexMomentSum:
         assert vertex_moment_sum(d, 3, 0) == big**3 + 1
         assert vertex_moment_sum(d, 2, 1) == big**2 + big
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["p", "q"])
+    def test_non_finite_exponents_refused(self, bad, which):
+        # nan used to come back as nan, and inf as inf
+        d = dc.DegreeTable([0, 1], [1, 0])
+        p, q = (bad, 0) if which == "p" else (0, bad)
+        with pytest.raises(ValueError, match="p and q must be finite"):
+            vertex_moment_sum(d, p, q)
+
 
 @given(
     st.lists(
@@ -473,7 +483,7 @@ def test_non_integer_arrays_refused(build):
 @pytest.mark.parametrize("node_count", [2.5, 2.0, np.float64(2.0), "2", None])
 def test_non_integer_node_count_refused(node_count):
     # 2.5 used to build a 2-node graph
-    with pytest.raises(ValueError, match=re.escape(f"node_count must be a non-negative integer, got {node_count!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"node_count must be an integer from 0 to {2**63}, got {node_count!r}")):
         dc.DirectedGraph(node_count, [0, 1], [1, 0])
 
 

@@ -167,7 +167,8 @@ class TestClosedFormsAgainstMeasures:
 def test_non_integer_bridge_sizes_refused(n, a):
     # closed_form_pearson_bridge(2.5, 1) used to return 0.4545...
     for closed_form in (theory.closed_form_pearson_bridge, theory.closed_form_spearman_bridge):
-        with pytest.raises(ValueError, match=re.escape(f"n and a must be integers >= 1, got n={n!r}, a={a!r}")):
+        name, value = ("n", n) if type(n) is not int else ("a", a)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer from 1 to {2**63}, got {value!r}")):
             closed_form(n, a)
 
 

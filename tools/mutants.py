@@ -92,6 +92,18 @@ CATALOGUE = (
         "the other root s <= 1 gives a <= 1, outside the solver's branch",
     ),
     Mutant(
+        "theory-tau-edges-from-raw-sizes", THEORY,
+        "e = sum(c for _, _, c in _bridge_classes(n, a))", "e = (a + 1) * n + 1",
+        (T_CONTRACT + "::test_sizes_accepted_at_both_bounds",),
+        "(a + 1) * n wraps in numpy integers: tau of G(2**63, 2**63) came back as -inf",
+    ),
+    Mutant(
+        "theory-grid-size-truncated", THEORY,
+        '_count(n, "grid size", 1, MAX_EDGES, "edge budget") for n in sizes', "int(n) for n in sizes",
+        (T_CONTRACT + "::test_sizes_refused",),
+        "int(10.7) ran a grid size of 10.7 as n = 10",
+    ),
+    Mutant(
         "theory-variant-check-removed", THEORY,
         '    if variant not in ("connected", "disconnected"):\n'
         "        raise ValueError(f\"variant must be 'connected' or 'disconnected', got {variant!r}\")\n",
@@ -434,9 +446,42 @@ CATALOGUE = (
     ),
     Mutant(
         "graph-float-node-count-accepted", GRAPH,
-        "if not isinstance(node_count, (int, np.integer)) or node_count < 0:", "if node_count < 0:",
+        'node_count = _count(node_count, "node_count", 0)', "node_count = int(node_count)",
         (T_GRAPH + "::test_non_integer_node_count_refused",),
         "int(2.5) builds a 2-node graph",
+    ),
+    # the one intake of every size and count argument
+    Mutant(
+        "graph-intake-bool-accepted", GRAPH,
+        " and not isinstance(value, bool)", "",
+        (T_CONTRACT + "::test_sizes_refused",),
+        "True is an int to isinstance; BridgeParams(True, True) built a bridge graph",
+    ),
+    Mutant(
+        "graph-intake-float-accepted", GRAPH,
+        "isinstance(value, (int, np.integer))", "isinstance(value, (int, float, np.integer))",
+        (T_CONTRACT + "::test_sizes_refused",),
+        "int(10.7) ran a scaling grid size of 10.7 as n = 10",
+    ),
+    Mutant(
+        "graph-intake-lower-bound-off-by-one", GRAPH,
+        "least <= int(value) <= most", "least - 1 <= int(value) <= most",
+        (T_CONTRACT + "::test_sizes_refused",),
+        "each least value is inclusive; one less is a bridge of no leaves or a single repetition's standard error",
+    ),
+    Mutant(
+        "graph-intake-upper-bound-off-by-one", GRAPH,
+        "least <= int(value) <= most", "least <= int(value) <= most + 1",
+        (T_CONTRACT + "::test_sizes_refused",),
+        "each budget is inclusive; one more draws or spawns past it",
+    ),
+    Mutant(
+        "graph-moment-sum-accepts-non-finite", GRAPH,
+        '    if not (math.isfinite(p) and math.isfinite(q)):\n'
+        '        raise ValueError(f"p and q must be finite, got p={p}, q={q}")\n',
+        "",
+        (T_GRAPH + "::TestVertexMomentSum",),
+        "a nan exponent came back as a nan sum, an infinite one as inf",
     ),
     Mutant(
         "graph-duplicates-ignore-targets", GRAPH,
@@ -469,19 +514,19 @@ CATALOGUE = (
     ),
     Mutant(
         "generators-float-x-min-accepted", "src/degcorr/generators.py",
-        "if not isinstance(self.x_min, (int, np.integer)) or self.x_min < 1:", "if self.x_min < 1:",
+        '_count(self.x_min, "x_min", 1, 2**62)', "int(self.x_min)",
         ("tests/test_generators.py::TestPowerLawSampler",),
         "balancing counts each draw below the floor cut as x_min, which only an integer is",
     ),
     Mutant(
         "generators-float-bridge-size-accepted", "src/degcorr/generators.py",
-        "isinstance(v, (int, np.integer)) and v >= 1 for v in (self.k, self.m)", "v >= 1 for v in (self.k, self.m)",
+        '_count(self.k, "k", 1, MAX_EDGES, "edge budget")', "int(self.k)",
         ("tests/test_generators.py::TestBridgeGraph",),
         "a bridge size of 2.5 becomes 2 in the int64 sizes, a graph nobody asked for",
     ),
     Mutant(
         "generators-sample-budget-off-by-one", "src/degcorr/generators.py",
-        "if not 1 <= count <= MAX_EDGES:", "if not 1 <= count <= MAX_EDGES + 1:",
+        '_count(count, "count", 1, MAX_EDGES, "edge budget")', '_count(count, "count", 1, MAX_EDGES + 1, "edge budget")',
         ("tests/test_generators.py::TestPowerLawSampler::test_count_over_budget_refused_before_drawing",),
         "the budget is a number of draws, inclusive",
     ),
